@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     UnsupportedSourceError,
 )
-from .evaluation import kl_trajectory, prediction_error_trajectory
+from .evaluation import prediction_error_trajectory
 from .functionals import cell_indicator, constant, identity
 from .ingest import (
     PRETRANSFORMS,
@@ -66,15 +66,18 @@ def _build_parser() -> _Parser:
         ("synth", "sample a synthetic source into an observation file"),
         ("estimate", "stream observations through the estimator, report log loss"),
         ("predict", "one-step functional forecasts before each observation"),
-        ("evaluate", "KL and prediction-error trajectories across seeds"),
+        ("evaluate", "KL and prediction-error trajectories across seeds, one pass "
+                     "of checkpoints[-1] observations per seed (n sizes only synth)"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", required=True, help="run config path")
         p.add_argument("--input", help="observation file, - for stdin")
         p.add_argument("--output", help="output path, default stdout")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--jobs", type=int, help="worker processes for evaluate")
-        p.add_argument("--r", default=None, help="functional: one, identity, or cell:IDX")
+        p.add_argument(
+            "--r", default=None, help="functional: one, identity (bounded supports), or cell:IDX"
+        )
         p.add_argument("--quiet", action="store_true", help="suppress stderr notes")
         p.set_defaults(command=name)
     return parser
@@ -114,12 +117,12 @@ def _make_r(spec: str, config: RunConfig):
         r = constant(1.0)
         return r, r.bound
     if spec == "identity":
-        family = build_family(config)
-        pts = [abs(a) for a in config.atoms]
-        if family.support.interval is not None:
-            lo, hi = family.support.interval
-            pts += [abs(lo), abs(hi)]
-        bound = max(pts) if pts and not family.support.countable else None
+        if config.family == "countable":
+            raise ConfigError(
+                "--r identity needs a bounded support and {1, 2, ...} is not; "
+                "use --r one or --r cell:IDX"
+            )
+        bound = max(abs(v) for v in (*config.atoms, config.lower, config.upper))
         return identity(bound), bound
     if spec.startswith("cell:"):
         try:
@@ -214,26 +217,27 @@ def _cmd_predict(args, config: RunConfig) -> int:
 
 
 def _cmd_evaluate(args, config: RunConfig) -> int:
+    """Streams checkpoints[-1] source observations per seed, once, and writes
+    the KL and the prediction-error records of those same runs."""
     source = build_source(config)
     seeds = (args.seed,) if args.seed is not None else config.seeds
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     r, bound = _make_r(args.r or config.r, config)
-    kl_runs = kl_trajectory(source, config, seeds=seeds, jobs=jobs)
-    pred_runs = prediction_error_trajectory(source, config, r, bound, seeds=seeds, jobs=jobs)
+    runs = prediction_error_trajectory(source, config, r, bound, seeds=seeds, jobs=jobs)
     with _out(args) as fh:
-        for run in kl_runs:
+        for run in runs:
             for rec in run.checkpoints:
                 fh.write(
                     f"record=kl digest={config.digest} seed={run.seed} n={rec.n} "
                     f"kl_bits={_fmt(rec.kl_bits)} posterior={_fmt_seq(rec.posterior_weights)}\n"
                 )
         for n in config.checkpoints:
-            vals = [r2.kl_bits for run in kl_runs for r2 in run.checkpoints if r2.n == n]
+            vals = [r2.kl_bits for run in runs for r2 in run.checkpoints if r2.n == n]
             fh.write(
                 f"record=kl_aggregate digest={config.digest} n={n} "
                 f"median_bits={_fmt(np.median(vals))} mean_bits={_fmt(np.mean(vals))}\n"
             )
-        for run in pred_runs:
+        for run in runs:
             for rec in run.checkpoints:
                 fh.write(
                     f"record=pred digest={config.digest} seed={run.seed} n={rec.n} "
@@ -241,8 +245,8 @@ def _cmd_evaluate(args, config: RunConfig) -> int:
                     f"abs_error={_fmt(rec.cum_pred_abs_error)}\n"
                 )
         for n in config.checkpoints:
-            sq = [r2.cum_pred_sq_error for run in pred_runs for r2 in run.checkpoints if r2.n == n]
-            ab = [r2.cum_pred_abs_error for run in pred_runs for r2 in run.checkpoints if r2.n == n]
+            sq = [r2.cum_pred_sq_error for run in runs for r2 in run.checkpoints if r2.n == n]
+            ab = [r2.cum_pred_abs_error for run in runs for r2 in run.checkpoints if r2.n == n]
             fh.write(
                 f"record=pred_aggregate digest={config.digest} n={n} "
                 f"median_sq={_fmt(np.median(sq))} mean_sq={_fmt(np.mean(sq))} "

@@ -79,9 +79,10 @@ class MixtureEstimator:
         self._t = list(self._log_w)
         self._t0 = _logsumexp(self._t)
         self._coders = [LevelCoder(family.alphabet_size(i), max_order) for i in range(L)]
-        self._log_mass = [
-            [math.log(reference.cell_mass(c)) for c in level] for level in family.levels
+        self._mass = [
+            np.array([reference.cell_mass(c) for c in level]) for level in family.levels
         ]
+        self._log_mass = [[math.log(m) for m in mass] for mass in self._mass]
         self._avg_cache: dict = {}
         self._n = 0
 
@@ -126,32 +127,30 @@ class MixtureEstimator:
         w = np.exp(t - t.max())
         return w / w.sum()
 
-    def _deltas(self, x):
-        idxs = self.family.project_all(x)
-        out = []
-        for i, j in enumerate(idxs):
-            q = self._coders[i].conditional(j)
-            out.append(math.log(q) - self._log_mass[i][j])
-        return out, idxs
-
     def log_density_at(self, x) -> float:
         """log predictive density of x given the data so far; does not consume x."""
-        deltas, _ = self._deltas(x)
+        idxs = self.family.project_all(x)
         t = self._t
-        return _logsumexp([a + b for a, b in zip(t, deltas)]) - _logsumexp(t)
+        moved = [
+            a + (math.log(coder.conditional(j)) - log_mass[j])
+            for a, coder, log_mass, j in zip(t, self._coders, self._log_mass, idxs)
+        ]
+        return _logsumexp(moved) - _logsumexp(t)
 
     def observe(self, x) -> float:
         """Consume x; returns its log predictive density, matching what
         log_density_at(x) reported just before the call."""
-        deltas, idxs = self._deltas(x)
+        idxs = self.family.project_all(x)
         t = self._t
-        new_t = [a + b for a, b in zip(t, deltas)]
-        ret = _logsumexp(new_t) - _logsumexp(t)
+        # update() charges the probability conditional() would report, so
+        # this is log_density_at's sum with one coder pass per level
+        new_t = [
+            a + (math.log(coder.update(j)) - log_mass[j])
+            for a, coder, log_mass, j in zip(t, self._coders, self._log_mass, idxs)
+        ]
         self._t = new_t
-        for coder, j in zip(self._coders, idxs):
-            coder.update(j)
         self._n += 1
-        return ret
+        return _logsumexp(new_t) - _logsumexp(t)
 
     def observe_all(self, xs) -> np.ndarray:
         """Consume a sequence; returns the per-step log predictive densities."""
@@ -160,12 +159,16 @@ class MixtureEstimator:
     def predict_functional(self, r, bound=None) -> float:
         """Posterior expectation of r at the next observation.
 
-        Averages r over each cell under the reference measure (cached per r),
-        then weights by the per-level predictive cell probabilities and the
-        posterior level weights. A functional declaring itself constant (a
-        `constant` attribute holding its value) is answered in closed form:
-        the conditional law is a probability, so the expectation is the
-        constant itself.
+        Weights the mass-weighted mean of r over each cell by the per-level
+        predictive cell probabilities and the posterior level weights. The
+        means are cached per r and computed by quadrature on the finest level
+        only: a coarser cell's mean is its children's, weighted by their
+        reference mass, which is exact because the measure is additive and
+        the children partition the parent. So the mean over any family cell
+        of that cell's indicator is exact, however narrow the cell. A
+        functional declaring itself constant (a `constant` attribute holding
+        its value) is answered in closed form: the conditional law is a
+        probability, so the expectation is the constant itself.
         """
         const = getattr(r, "constant", None)
         if const is not None:
@@ -173,12 +176,17 @@ class MixtureEstimator:
         key = (r, bound)
         cache = self._avg_cache.get(key)
         if cache is None:
-            cache = [
-                np.array(
-                    [self.reference.average_over_cell(c, r, bound=bound) for c in level]
-                )
-                for level in self.family.levels
-            ]
+            family = self.family
+            avg = np.array(
+                [self.reference.average_over_cell(c, r, bound=bound) for c in family.levels[-1]]
+            )
+            cache = [avg]
+            for i in range(family.num_levels - 1, 0, -1):
+                parents = [family.parent(i, j) for j in range(len(avg))]
+                coarse = self._mass[i - 1]
+                avg = np.bincount(parents, self._mass[i] * avg, len(coarse)) / coarse
+                cache.append(avg)
+            cache.reverse()
             self._avg_cache[key] = cache
         w = self.posterior_weights
         out = 0.0

@@ -1,12 +1,14 @@
 """Convergence and prediction measurements against synthetic ground truth.
 
-kl_trajectory streams source samples through a fresh estimator per seed and
-records the realized per-symbol log ratio (1/n) log(dmu^n / dnu^n), in bits,
-at each checkpoint. prediction_error_trajectory does the same while racing
-the estimator's one-step functional predictions against the source's exact
-conditional means, Cesaro-averaged. pinsker_check verifies the
-total-variation / KL inequality used to carry density convergence over to
-set-wise convergence.
+Both trajectories make one pass per seed: a fresh estimator streams the
+seed's checkpoints[-1] source samples (the config's n sizes only `synth`)
+and records the realized per-symbol log ratio (1/n) log(dmu^n / dnu^n), in
+bits, with the posterior level weights at each checkpoint.
+kl_trajectory does only that; prediction_error_trajectory, in the same
+pass, also races the estimator's one-step functional predictions against
+the source's exact conditional means, Cesaro-averaged, so its KL records
+equal kl_trajectory's. pinsker_check verifies the total-variation / KL
+inequality used to carry density convergence over to set-wise convergence.
 
 Seeds are embarrassingly parallel; jobs > 1 fans them out to a process pool
 with an order-preserving map, so output order never depends on scheduling.
@@ -22,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import RunConfig, build_estimator
+from .ingest import RunConfig, build_estimator, build_reference
 
 __all__ = [
     "CheckpointRecord",
@@ -65,34 +67,13 @@ class PinskerResult(NamedTuple):
 
 
 def _check_match(source, config: RunConfig):
-    est = build_estimator(config)
-    if est.reference != source.reference():
+    if build_reference(config) != source.reference():
         raise ConfigError("estimator reference measure does not match the source's")
-    return est
 
 
-def _kl_one_seed(args) -> RunMetrics:
-    source, config, seed, checkpoints = args
-    est = build_estimator(config)
-    xs = source.sample(checkpoints[-1], seed)
-    true_sum = 0.0
-    last = None
-    records = []
-    targets = iter(checkpoints)
-    target = next(targets)
-    for j, x in enumerate(xs, 1):
-        true_sum += source.true_log_density(x, last)
-        est.observe(x)
-        last = x
-        if j == target:
-            kl = (true_sum - est.joint_log_density) / (j * _LN2)
-            records.append(CheckpointRecord(j, kl, tuple(est.posterior_weights)))
-            target = next(targets, None)
-    return RunMetrics(seed, config.digest, tuple(records))
-
-
-def _pred_one_seed(args) -> RunMetrics:
-    source, config, r, bound, seed, checkpoints, predictor = args
+def _run_seed(source, config, seed, checkpoints, r=None, bound=None, predictor=None):
+    """Stream one seed's sample through a fresh estimator; forecasts r before
+    each observation only when r is given."""
     est = build_estimator(config)
     xs = source.sample(checkpoints[-1], seed)
     true_sum = 0.0
@@ -103,25 +84,34 @@ def _pred_one_seed(args) -> RunMetrics:
     targets = iter(checkpoints)
     target = next(targets)
     for j, x in enumerate(xs, 1):
-        # forecast strictly before consuming: one-step-ahead semantics
-        if predictor is None:
-            pred = est.predict_functional(r, bound)
-        else:
-            pred = predictor(last)
-        truth = source.conditional_mean(r, last, bound)
-        diff = truth - pred
-        sq += diff * diff
-        ab += abs(diff)
+        if r is not None:
+            # forecast strictly before consuming: one-step-ahead semantics
+            if predictor is None:
+                pred = est.predict_functional(r, bound)
+            else:
+                pred = predictor(last)
+            diff = source.conditional_mean(r, last, bound) - pred
+            sq += diff * diff
+            ab += abs(diff)
         true_sum += source.true_log_density(x, last)
         est.observe(x)
         last = x
         if j == target:
             kl = (true_sum - est.joint_log_density) / (j * _LN2)
-            records.append(
-                CheckpointRecord(j, kl, tuple(est.posterior_weights), sq / j, ab / j)
-            )
+            errors = () if r is None else (sq / j, ab / j)
+            records.append(CheckpointRecord(j, kl, tuple(est.posterior_weights), *errors))
             target = next(targets, None)
     return RunMetrics(seed, config.digest, tuple(records))
+
+
+def _kl_one_seed(args) -> RunMetrics:
+    source, config, seed, checkpoints = args
+    return _run_seed(source, config, seed, checkpoints)
+
+
+def _pred_one_seed(args) -> RunMetrics:
+    source, config, r, bound, seed, checkpoints, predictor = args
+    return _run_seed(source, config, seed, checkpoints, r, bound, predictor)
 
 
 def _fan_out(worker, arglists, jobs: int):
@@ -156,7 +146,8 @@ def prediction_error_trajectory(
     jobs: int = 1,
     predictor=None,
 ) -> list[RunMetrics]:
-    """Cesaro-averaged squared and absolute one-step prediction errors.
+    """Cesaro-averaged squared and absolute one-step prediction errors, in
+    records that also carry the KL and posterior that kl_trajectory reports.
 
     predictor overrides the estimator's forecast (callable of the previous
     observation); passing the source's own conditional mean must yield zero.

@@ -328,11 +328,8 @@ def validate_config(config: RunConfig) -> RunConfig:
 
     family = build_family(normalized)
     reference = build_reference(normalized)
-    try:
-        reference.validate_family(family)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    # constructing proves weight shape/positivity and leaves no deferred failures
+    # constructing checks every cell's reference mass, the weight shape and
+    # positivity, and leaves no deferred failures
     MixtureEstimator(family, reference, weights=normalized.weights, max_order=normalized.max_order)
     if source is not None and reference != source.reference():
         raise ConfigError("reference measure does not match the source's")

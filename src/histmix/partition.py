@@ -8,6 +8,7 @@ cell occupy a contiguous index range at the next level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import OutOfSupportError
@@ -95,7 +96,10 @@ class Support:
 class PartitionFamily:
     """A finite refining sequence of partitions with projection and parent lookup.
 
-    Immutable after construction; concurrent reads are safe.
+    Construction rejects a family unless the cells of each level below the
+    first partition every cell of the level above: each nests in exactly one
+    parent, and a parent's children cover it without overlap. Immutable
+    after construction; concurrent reads are safe.
     """
 
     def __init__(self, support: Support, levels: list[tuple[Cell, ...]]):
@@ -109,17 +113,20 @@ class PartitionFamily:
         parents = [None]
         for i in range(1, len(self.levels)):
             coarse, fine = self.levels[i - 1], self.levels[i]
+            owners = _owner_finder(coarse)
             mapping = []
+            children = [[] for _ in coarse]
             for cell in fine:
-                probe = _representative(cell)
-                owners = [j for j, c in enumerate(coarse) if c.contains(probe)]
-                if len(owners) != 1:
-                    raise ValueError(f"level {i} cell {cell} has {len(owners)} parents")
-                if not _is_subset(cell, coarse[owners[0]]):
-                    raise ValueError(
-                        f"level {i} cell {cell} is not nested in {coarse[owners[0]]}"
-                    )
-                mapping.append(owners[0])
+                count, owner = owners(_representative(cell))
+                if count != 1:
+                    raise ValueError(f"level {i} cell {cell} has {count} parents")
+                if not _is_subset(cell, coarse[owner]):
+                    raise ValueError(f"level {i} cell {cell} is not nested in {coarse[owner]}")
+                mapping.append(owner)
+                children[owner].append(cell)
+            for parent, kids in zip(coarse, children):
+                if not _tiles(parent, kids):
+                    raise ValueError(f"level {i} cells do not partition {parent}")
             parents.append(tuple(mapping))
         return tuple(parents)
 
@@ -180,6 +187,58 @@ def _is_subset(fine: Cell, coarse: Cell) -> bool:
     if fine.kind == "tail":
         return fine.tail_start >= coarse.tail_start
     return fine.kind == "atom" and fine.point >= coarse.tail_start
+
+
+def _owner_finder(cells):
+    """Returns owners(x) -> (number of cells containing x, index of one of them).
+
+    Counts by bisection on sorted edges, so a level of n cells answers in
+    O(log n): x lies in #(lower <= x) - #(upper <= x) intervals and in
+    #(start <= x) tails. The index is exact only when the count is 1.
+    """
+    atoms: dict = {}
+    intervals, tails = [], []
+    for j, c in enumerate(cells):
+        if c.kind == "atom":
+            atoms.setdefault(c.point, []).append(j)
+        elif c.kind == "interval":
+            intervals.append((c.lower, j))
+        else:
+            tails.append((c.tail_start, j))
+    intervals.sort()
+    tails.sort()
+    lowers = [lo for lo, _ in intervals]
+    uppers = sorted(c.upper for c in cells if c.kind == "interval")
+    starts = [s for s, _ in tails]
+
+    def owners(x):
+        hits = atoms.get(x, ())
+        below = bisect_right(lowers, x)
+        in_intervals = below - bisect_right(uppers, x)
+        in_tails = bisect_right(starts, x) if _is_natural(x) else 0
+        count = len(hits) + in_intervals + in_tails
+        if hits:
+            return count, hits[0]
+        if in_intervals:
+            # the last interval opening at or before x; should an earlier
+            # one reach past it instead, the nesting check rejects the cell
+            return count, intervals[below - 1][1]
+        return count, tails[0][1] if tails else None
+
+    return owners
+
+
+def _tiles(parent: Cell, kids) -> bool:
+    """Whether kids, each nested in parent, cover it without overlap."""
+    if parent.kind == "atom":
+        return len(kids) == 1
+    if parent.kind == "interval":
+        kids = sorted(kids, key=lambda c: c.lower)
+        edges = [parent.lower] + [c.upper for c in kids]
+        return edges[-1] == parent.upper and all(c.lower == e for c, e in zip(kids, edges))
+    tails = [c.tail_start for c in kids if c.kind == "tail"]
+    points = sorted(c.point for c in kids if c.kind == "atom")
+    return len(tails) == 1 and points == list(range(parent.tail_start, tails[0]))
 
 
 def _dyadic_levels(lower: float, upper: float, levels: int, shift: int = 0):

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from histmix import build_source, kl_trajectory, load_config
+
 UNIFORM_CFG = """\
 source = uniform-iid
 levels = 3
@@ -211,6 +213,34 @@ def test_evaluate_jobs_equivalent(cfgdir):
     serial = run_cli("evaluate", "--config", cfg, "--jobs", "1").stdout
     parallel = run_cli("evaluate", "--config", cfg, "--jobs", "3").stdout
     assert serial == parallel
+
+
+def test_evaluate_kl_records_match_kl_trajectory(cfgdir):
+    path = cfgdir / "countable.cfg"
+    path.write_text(COUNTABLE_CFG + "checkpoints = 32,128\nseeds = 0,1\n")
+    lines = run_cli("evaluate", "--config", str(path), "--jobs", "1", "--r", "cell:0").stdout
+    got = [l for l in lines.splitlines() if l.startswith("record=kl ")]
+    config = load_config(path.read_text())
+    want = [
+        f"record=kl digest={config.digest} seed={run.seed} n={rec.n} "
+        f"kl_bits={'%.12g' % rec.kl_bits} "
+        f"posterior={','.join('%.12g' % w for w in rec.posterior_weights)}"
+        for run in kl_trajectory(build_source(config), config)
+        for rec in run.checkpoints
+    ]
+    assert got == want
+
+
+def test_identity_rejected_on_countable_support(cfgdir):
+    cfg = str(cfgdir / "countable.cfg")
+    obs = synth(cfgdir, "countable.cfg", "g.obs")
+    for args in (("predict", "--input", str(obs)), ("evaluate", "--jobs", "1")):
+        proc = run_cli(*args, "--config", cfg, "--r", "identity", check=False)
+        assert proc.returncode == 3
+        assert "config error" in proc.stderr
+        assert "one" in proc.stderr and "cell:IDX" in proc.stderr
+    # the config's default functional is the identity too
+    assert run_cli("evaluate", "--config", cfg, check=False).returncode == 3
 
 
 def test_exit_usage_errors(cfgdir):

@@ -10,6 +10,7 @@ from histmix import (
     ConfigError,
     MixtureEstimator,
     ReferenceMeasure,
+    cell_indicator,
     constant,
     countable_tail_family,
     default_weights,
@@ -157,6 +158,21 @@ def test_predict_identity_before_data():
     est = make(levels=1)
     got = est.predict_functional(identity(bound=1.0))
     assert math.isclose(got, 0.5, rel_tol=1e-9)
+
+
+def test_finest_cell_indicator_forecasts_are_exact():
+    # the forecast of a family cell's indicator is that cell's predictive
+    # probability, however narrow the cell (midpoint quadrature over a coarse
+    # cell misses every finest cell j = 0 mod 4 at this depth)
+    est = make(levels=8)
+    rng = np.random.default_rng(83)
+    for n_new in (0, 300):
+        est.observe_all(rng.beta(2.0, 5.0, size=n_new))
+        for j, cell in enumerate(est.family.levels[-1]):
+            got = est.predict_functional(cell_indicator(est.family, j), 1.0)
+            mid = cell.lower + (cell.upper - cell.lower) / 2
+            want = math.exp(est.log_density_at(mid)) * est.reference.cell_mass(cell)
+            assert abs(got - want) < 1e-12, (est.n, j, got, want)
 
 
 def test_predict_tracks_skewed_data():

@@ -170,6 +170,50 @@ def test_non_refining_family_rejected():
         PartitionFamily(support, [coarse, fine])
 
 
+def test_gapped_family_rejected():
+    # [0.25, 0.5) has no level-1 cell; projecting 0.3 there would never end
+    support = Support(interval=(0.0, 1.0))
+    coarse = (Cell.interval(0.0, 0.5), Cell.interval(0.5, 1.0))
+    fine = (Cell.interval(0.0, 0.25), Cell.interval(0.5, 1.0))
+    with pytest.raises(ValueError):
+        PartitionFamily(support, [coarse, fine])
+
+
+def test_overlapping_family_rejected():
+    support = Support(interval=(0.0, 1.0))
+    coarse = (Cell.interval(0.0, 0.5), Cell.interval(0.5, 1.0))
+    fine = (Cell.interval(0.0, 0.3), Cell.interval(0.2, 0.5), Cell.interval(0.5, 1.0))
+    with pytest.raises(ValueError):
+        PartitionFamily(support, [coarse, fine])
+    # overlapping coarse cells: 0.75 lies in both
+    coarse = (Cell.interval(0.0, 1.0), Cell.interval(0.5, 1.0))
+    with pytest.raises(ValueError):
+        PartitionFamily(support, [coarse, (Cell.interval(0.0, 0.5), Cell.interval(0.5, 1.0))])
+    # a countable tail split into two tails that both hold 3, 4, ...
+    with pytest.raises(ValueError):
+        PartitionFamily(
+            Support(countable=True),
+            [(Cell.atom(1), Cell.tail(2)), (Cell.atom(1), Cell.tail(2), Cell.tail(3))],
+        )
+
+
+def test_countable_tail_children_must_cover():
+    # the tail {2, 3, ...} refined to {2} and {4, 5, ...} loses 3
+    with pytest.raises(ValueError):
+        PartitionFamily(
+            Support(countable=True),
+            [(Cell.atom(1), Cell.tail(2)), (Cell.atom(1), Cell.atom(2), Cell.tail(4))],
+        )
+
+
+def test_mixed_family_parent_map():
+    fam = mixed_family((-2.0, -1.0), 0.0, 1.0, 4)
+    for i in range(1, fam.num_levels):
+        assert [fam.parent(i, j) for j in range(fam.alphabet_size(i))] == [0, 1] + [
+            2 + j // 2 for j in range(fam.alphabet_size(i) - 2)
+        ]
+
+
 def test_support_contains():
     s = Support(atoms=(-1.0,), interval=(0.0, 1.0), countable=False)
     assert s.contains(-1.0) and s.contains(0.0) and s.contains(0.999)
