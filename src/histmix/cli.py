@@ -31,7 +31,6 @@ from .ingest import (
     PRETRANSFORMS,
     RunConfig,
     build_estimator,
-    build_family,
     build_source,
     load_config,
     parse_observations,
@@ -76,7 +75,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--jobs", type=int, help="worker processes for evaluate")
         p.add_argument(
-            "--r", default=None, help="functional: one, identity (bounded supports), or cell:IDX"
+            "--r", default=None,
+            help="functional: one, identity (bounded supports) or cell:IDX; default the config's r",
         )
         p.add_argument("--quiet", action="store_true", help="suppress stderr notes")
         p.set_defaults(command=name)
@@ -129,7 +129,7 @@ def _make_r(spec: str, config: RunConfig):
             idx = int(spec.split(":", 1)[1])
         except ValueError:
             raise _UsageError(f"bad cell index in --r {spec!r}") from None
-        family = build_family(config)
+        family = build_estimator(config).family
         if not 0 <= idx < family.alphabet_size(family.num_levels - 1):
             raise ConfigError(f"cell index {idx} out of range at the finest level")
         return cell_indicator(family, idx), 1.0

@@ -13,6 +13,7 @@ cell: log density = log Q(cell) - log eta(cell), no residual term.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -49,8 +50,9 @@ class MixtureEstimator:
 
     observe() consumes one value and returns its log predictive density
     (natural log, w.r.t. the reference measure); log_density_at() reports the
-    same quantity without consuming. State grows with the data; use a fresh
-    instance per stream.
+    same quantity without consuming. State grows with the data; use fresh()
+    per stream: the family, reference, weights and cell masses, fixed at
+    construction, and the cell-average cache are shared by every copy.
     """
 
     def __init__(
@@ -85,6 +87,14 @@ class MixtureEstimator:
         self._log_mass = [[math.log(m) for m in mass] for mass in self._mass]
         self._avg_cache: dict = {}
         self._n = 0
+
+    def fresh(self) -> "MixtureEstimator":
+        """A copy that has seen no data: new coders and accumulators, the rest shared."""
+        new = copy.copy(self)
+        new._coders = [LevelCoder(c.alphabet_size, self.max_order) for c in self._coders]
+        new._t = list(self._log_w)
+        new._n = 0
+        return new
 
     @property
     def n(self) -> int:

@@ -39,8 +39,14 @@ def _const_at(c: float, x) -> float:
     return c
 
 
-def _inside(cell: Cell, x) -> float:
-    return 1.0 if cell.contains(x) else 0.0
+@dataclass(frozen=True)
+class _Inside:
+    # a value, unlike a partial: equal indicators, pickled ones included,
+    # share cache entries keyed by the functional
+    cell: Cell
+
+    def __call__(self, x) -> float:
+        return 1.0 if self.cell.contains(x) else 0.0
 
 
 def constant(c: float) -> Functional:
@@ -55,4 +61,4 @@ def identity(bound: Optional[float] = None) -> Functional:
 def cell_indicator(family: PartitionFamily, index: int, level: int = -1) -> Functional:
     """Indicator of one cell, finest level by default."""
     cell = family.levels[level][index]
-    return Functional(partial(_inside, cell), bound=1.0, name=f"cell:{index}")
+    return Functional(_Inside(cell), bound=1.0, name=f"cell:{index}")

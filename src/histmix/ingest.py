@@ -6,8 +6,11 @@ reference atoms, `lo:hi:mass` for density pieces). Observation files carry
 one numeral per line. Both formats are deliberately diff-able.
 
 validate_config is the single gate: it fills defaults, cross-checks the
-partition family against the reference measure, proves an estimator is
-constructible, and stamps a digest. Anything it accepts will run.
+partition family against the reference measure, stamps a digest, and builds
+the command's one prototype estimator, which runs every constructor check.
+build_estimator hands out fresh() copies of that prototype, so the family,
+the cell masses and the cell averages are built once per config. Anything
+validate_config accepts will run.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import ConfigError, ParseError
@@ -119,7 +123,7 @@ class RunConfig:
     seeds: tuple = DEFAULT_SEEDS
     checkpoints: tuple = DEFAULT_CHECKPOINTS
     pretransform: str = "identity"
-    r: str = "identity"
+    r: Optional[str] = None  # validate_config: identity, or cell:0 on countable
     digest: str = field(default="", compare=False)
 
 
@@ -252,13 +256,21 @@ def build_source(config: RunConfig):
         raise ConfigError(str(exc)) from None
 
 
-def build_estimator(config: RunConfig) -> MixtureEstimator:
+@lru_cache(maxsize=1)
+def _prototype(config: RunConfig) -> MixtureEstimator:
+    # RunConfig is frozen and leaves digest out of equality, so the validated
+    # config and its stamped copy share this entry
     return MixtureEstimator(
         build_family(config),
         build_reference(config),
         weights=config.weights,
         max_order=config.max_order,
     )
+
+
+def build_estimator(config: RunConfig) -> MixtureEstimator:
+    """An estimator that has seen no data; shares the config's prototype."""
+    return _prototype(config).fresh()
 
 
 def _canonical(config: RunConfig) -> str:
@@ -326,11 +338,15 @@ def validate_config(config: RunConfig) -> RunConfig:
             eta_countable="harmonic-gap" if ref.countable is not None else None,
         )
 
-    family = build_family(normalized)
-    reference = build_reference(normalized)
+    if normalized.r is None:
+        # the identity is unbounded on {1, 2, ...}; a cell indicator is not
+        normalized = replace(
+            normalized, r="cell:0" if normalized.family == "countable" else "identity"
+        )
+
     # constructing checks every cell's reference mass, the weight shape and
     # positivity, and leaves no deferred failures
-    MixtureEstimator(family, reference, weights=normalized.weights, max_order=normalized.max_order)
+    reference = _prototype(normalized).reference
     if source is not None and reference != source.reference():
         raise ConfigError("reference measure does not match the source's")
     return replace(

@@ -96,10 +96,12 @@ class Support:
 class PartitionFamily:
     """A finite refining sequence of partitions with projection and parent lookup.
 
-    Construction rejects a family unless the cells of each level below the
-    first partition every cell of the level above: each nests in exactly one
-    parent, and a parent's children cover it without overlap. Immutable
-    after construction; concurrent reads are safe.
+    Construction rejects a family unless the cells of each level partition
+    every cell of the level above, the support counting as the level above
+    level 0 (one cell per atom, the interval, a tail from 1 for a countable
+    part): each cell nests in exactly one parent, and a parent's children
+    cover it without overlap. Immutable after construction; concurrent reads
+    are safe.
     """
 
     def __init__(self, support: Support, levels: list[tuple[Cell, ...]]):
@@ -108,11 +110,17 @@ class PartitionFamily:
         self.support = support
         self.levels = tuple(tuple(lv) for lv in levels)
         self._parents = self._build_parent_maps()
+        self._finest_owner = _owner_finder(self.levels[-1])
 
     def _build_parent_maps(self):
-        parents = [None]
-        for i in range(1, len(self.levels)):
-            coarse, fine = self.levels[i - 1], self.levels[i]
+        support = self.support
+        coarse = [Cell.atom(a) for a in support.atoms]
+        if support.interval is not None:
+            coarse.append(Cell.interval(*support.interval))
+        if support.countable:
+            coarse.append(Cell.tail(1))
+        parents = []
+        for i, fine in enumerate(self.levels):
             owners = _owner_finder(coarse)
             mapping = []
             children = [[] for _ in coarse]
@@ -128,6 +136,9 @@ class PartitionFamily:
                 if not _tiles(parent, kids):
                     raise ValueError(f"level {i} cells do not partition {parent}")
             parents.append(tuple(mapping))
+            coarse = fine
+        # level 0's map points into the support, which is no level
+        parents[0] = None
         return tuple(parents)
 
     @property
@@ -139,26 +150,23 @@ class PartitionFamily:
 
     def project(self, level: int, x) -> int:
         """Index of the unique level cell containing x."""
-        if not self.support.contains(x):
-            raise OutOfSupportError(f"value {x!r} outside the declared support")
-        cells = self.levels[level]
-        if self.support.interval is not None and x not in self.support.atoms:
-            lo, hi = self.support.interval
-            offset = len(self.support.atoms)
-            nbins = len(cells) - offset
-            idx = offset + min(nbins - 1, max(0, int((x - lo) / (hi - lo) * nbins)))
-            # guard against float rounding at bin edges
-            while not cells[idx].contains(x):
-                idx += 1 if x >= cells[idx].upper else -1
-            return idx
-        for idx, cell in enumerate(cells):
-            if cell.contains(x):
-                return idx
-        raise OutOfSupportError(f"value {x!r} not covered at level {level}")
+        return self.project_all(x)[level]
 
     def project_all(self, x) -> list[int]:
-        """Cell index of x at every level, coarse to fine."""
-        return [self.project(i, x) for i in range(len(self.levels))]
+        """Cell index of x at every level, coarse to fine.
+
+        One bisection finds the finest cell; the parent maps give the rest,
+        since every level partitions the one above and level 0 the support.
+        """
+        count, idx = self._finest_owner(x)
+        if count != 1:
+            raise OutOfSupportError(f"value {x!r} outside the declared support")
+        out = [idx]
+        for parents in self._parents[:0:-1]:
+            idx = parents[idx]
+            out.append(idx)
+        out.reverse()
+        return out
 
     def parent(self, level: int, index: int) -> int:
         """Index at level-1 of the coarse cell containing the given fine cell."""
@@ -215,7 +223,7 @@ def _owner_finder(cells):
         hits = atoms.get(x, ())
         below = bisect_right(lowers, x)
         in_intervals = below - bisect_right(uppers, x)
-        in_tails = bisect_right(starts, x) if _is_natural(x) else 0
+        in_tails = bisect_right(starts, x) if starts and _is_natural(x) else 0
         count = len(hits) + in_intervals + in_tails
         if hits:
             return count, hits[0]

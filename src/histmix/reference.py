@@ -134,17 +134,6 @@ class ReferenceMeasure:
                 total += m * (ohi - olo) / (hi - lo)
         return total
 
-    def log_density_at(self, cell: Cell, x) -> float:
-        """Log residual density at x of the cell's normalized restriction, beyond 1/mass.
-
-        Spreading mass over a cell proportionally to this measure leaves no
-        pointwise residue, so the value is identically 0; the method exists to
-        pin that convention and to reject x outside the cell.
-        """
-        if not cell.contains(x):
-            raise ValueError(f"{x!r} is not in cell {cell}")
-        return 0.0
-
     def average_over_cell(self, cell: Cell, r, bound=None, rtol: float = _QUAD_RTOL) -> float:
         """Mass-weighted mean of r over one cell: cell_mass^-1 * integral of r.
 

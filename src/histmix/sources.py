@@ -22,12 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfSupportError, UnsupportedSourceError
-from .partition import (
-    PartitionFamily,
-    countable_tail_family,
-    dyadic_family,
-    mixed_family,
-)
 from .reference import ReferenceMeasure, adaptive_midpoint, example3_rule
 
 __all__ = [
@@ -64,9 +58,6 @@ class _Source:
 
     kind = ""
 
-    def family(self, levels: int) -> PartitionFamily:
-        raise NotImplementedError
-
     def reference(self) -> ReferenceMeasure:
         raise NotImplementedError
 
@@ -97,9 +88,6 @@ class UniformIID(_Source):
     """Uniform[0,1) draws; the calibration case where source equals reference."""
 
     kind = "uniform-iid"
-
-    def family(self, levels: int) -> PartitionFamily:
-        return dyadic_family(0.0, 1.0, levels)
 
     def reference(self) -> ReferenceMeasure:
         return ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
@@ -145,9 +133,6 @@ class PiecewiseDensityIID(_Source):
         mass = sum(d[i] * (b[i + 1] - b[i]) for i in range(len(d)))
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"piece densities integrate to {mass}, expected 1")
-
-    def family(self, levels: int) -> PartitionFamily:
-        return dyadic_family(0.0, 1.0, levels)
 
     def reference(self) -> ReferenceMeasure:
         return ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
@@ -226,9 +211,6 @@ class MixedAtomIID(_Source):
             raise ValueError("atom_point must lie outside [0, 1)")
         if self.continuous not in ("uniform", "exponential"):
             raise ValueError(f"unknown continuous part {self.continuous!r}")
-
-    def family(self, levels: int) -> PartitionFamily:
-        return mixed_family((self.atom_point,), 0.0, 1.0, levels)
 
     def reference(self) -> ReferenceMeasure:
         return ReferenceMeasure(
@@ -312,9 +294,6 @@ class CountableGeometric(_Source):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("ratio must be in (0, 1)")
 
-    def family(self, levels: int) -> PartitionFamily:
-        return countable_tail_family(levels)
-
     def reference(self) -> ReferenceMeasure:
         return ReferenceMeasure(countable=example3_rule())
 
@@ -368,9 +347,6 @@ class BinaryMarkovEmbedded(_Source):
     def __post_init__(self):
         if not 0.0 < self.stay < 1.0:
             raise ValueError("stay probability must be in (0, 1)")
-
-    def family(self, levels: int) -> PartitionFamily:
-        return dyadic_family(0.0, 1.0, levels)
 
     def reference(self) -> ReferenceMeasure:
         return ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))

@@ -239,8 +239,9 @@ def test_identity_rejected_on_countable_support(cfgdir):
         assert proc.returncode == 3
         assert "config error" in proc.stderr
         assert "one" in proc.stderr and "cell:IDX" in proc.stderr
-    # the config's default functional is the identity too
-    assert run_cli("evaluate", "--config", cfg, check=False).returncode == 3
+    # the config's default functional is cell:0 on a countable family
+    proc = run_cli("evaluate", "--config", cfg, "--jobs", "1", "--seed", "0", check=False)
+    assert proc.returncode == 0
 
 
 def test_exit_usage_errors(cfgdir):
@@ -282,3 +283,49 @@ def test_missing_input_file(cfgdir):
         check=False,
     )
     assert proc.returncode == 2
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Runs cli.main in this process as a new command would run, with a cold
+    prototype cache, and counts its family builds and cell averages."""
+    from histmix import PartitionFamily, ReferenceMeasure, ingest
+    from histmix.cli import main
+
+    counts = {}
+
+    def counting(cls, attr, key):
+        orig = getattr(cls, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counting(PartitionFamily, "__init__", "family")
+    counting(ReferenceMeasure, "average_over_cell", "average")
+
+    def run(*args):
+        ingest._prototype.cache_clear()
+        counts.update(family=0, average=0)
+        assert main(list(args)) == 0
+        return dict(counts)
+
+    yield run
+    ingest._prototype.cache_clear()
+
+
+def test_one_family_per_command(cfgdir, counted):
+    cfg = cfgdir / "countable.cfg"
+    cfg.write_text(COUNTABLE_CFG + "seeds = 0,1,2\ncheckpoints = 64,128\n")
+    obs = synth(cfgdir, "countable.cfg", "g.obs")
+    common = ("--config", str(cfg), "--output", str(cfgdir / "out.txt"), "--quiet")
+    assert counted("estimate", "--input", str(obs), *common)["family"] == 1
+    assert counted("predict", "--input", str(obs), "--r", "cell:0", *common)["family"] == 1
+    # three seeds forecast cell:0, averaged over the 4 finest cells once
+    # for the command, not once per seed
+    assert counted("evaluate", "--jobs", "1", "--r", "cell:0", *common) == {
+        "family": 1,
+        "average": 4,
+    }

@@ -1,6 +1,7 @@
 """Mixture over refinement levels: weights, exact chain rule, dominance, prediction."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,32 @@ def test_finest_cell_indicator_forecasts_are_exact():
             mid = cell.lower + (cell.upper - cell.lower) / 2
             want = math.exp(est.log_density_at(mid)) * est.reference.cell_mass(cell)
             assert abs(got - want) < 1e-12, (est.n, j, got, want)
+
+
+def test_fresh_copies_are_independent():
+    proto = make(levels=4)
+    a, b = proto.fresh(), proto.fresh()
+    xs = np.random.default_rng(8).beta(2.0, 5.0, size=400)
+    steps = [a.observe(x) for x in xs]
+    assert b.n == 0 and proto.n == 0
+    assert b.joint_log_density == 0.0
+    assert np.array_equal(b.posterior_weights, proto.weights)
+    # bit-identical to a newly constructed estimator on the same data
+    new = make(levels=4)
+    assert steps == [new.observe(x) for x in xs]
+    assert [b.observe(x) for x in xs] == steps
+    assert a.joint_log_density == new.joint_log_density
+    assert np.array_equal(a.posterior_weights, new.posterior_weights)
+    assert a.family is proto.family
+    assert a.fresh().n == 0
+
+
+def test_cell_indicator_compares_by_value():
+    fam = dyadic_family(0.0, 1.0, 3)
+    r = cell_indicator(fam, 2)
+    assert r == cell_indicator(fam, 2)
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert r != cell_indicator(fam, 3)
 
 
 def test_predict_tracks_skewed_data():

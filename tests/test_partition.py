@@ -206,6 +206,20 @@ def test_countable_tail_children_must_cover():
         )
 
 
+def test_level_zero_must_tile_the_support():
+    # 0.45 lies in the support but in no level-0 cell
+    with pytest.raises(ValueError):
+        PartitionFamily(
+            Support(interval=(0.0, 1.0)), [(Cell.interval(0.0, 0.4), Cell.interval(0.5, 1.0))]
+        )
+    # level 0 of a countable support must start at 1
+    with pytest.raises(ValueError):
+        PartitionFamily(Support(countable=True), [(Cell.atom(2), Cell.tail(3))])
+    # a support atom left out of level 0
+    with pytest.raises(ValueError):
+        PartitionFamily(Support(atoms=(-1.0,), interval=(0.0, 1.0)), [(Cell.interval(0.0, 1.0),)])
+
+
 def test_mixed_family_parent_map():
     fam = mixed_family((-2.0, -1.0), 0.0, 1.0, 4)
     for i in range(1, fam.num_levels):

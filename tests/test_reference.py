@@ -115,13 +115,6 @@ def test_bound_violation_reported():
         m.average_over_cell(Cell.interval(0.0, 1.0), lambda x: 2.0 * x, bound=1.0)
 
 
-def test_log_density_convention():
-    m = ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
-    assert m.log_density_at(Cell.interval(0.0, 0.5), 0.3) == 0.0
-    with pytest.raises(ValueError):
-        m.log_density_at(Cell.interval(0.0, 0.5), 0.7)
-
-
 def test_validate_family_accepts_matched():
     uniform = ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
     uniform.validate_family(dyadic_family(0.0, 1.0, 6))
