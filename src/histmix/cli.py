@@ -23,14 +23,15 @@ from .errors import (
     ConfigError,
     OutOfSupportError,
     ParseError,
+    SpecError,
     UnsupportedSourceError,
 )
 from .evaluation import prediction_error_trajectory
-from .functionals import cell_indicator, constant, identity
 from .ingest import (
     PRETRANSFORMS,
     RunConfig,
     build_estimator,
+    build_functional,
     build_source,
     load_config,
     parse_observations,
@@ -111,29 +112,12 @@ def _note(args, message: str):
         print(message, file=sys.stderr)
 
 
-def _make_r(spec: str, config: RunConfig):
-    """Functional and bound from an --r spec."""
-    if spec == "one":
-        r = constant(1.0)
-        return r, r.bound
-    if spec == "identity":
-        if config.family == "countable":
-            raise ConfigError(
-                "--r identity needs a bounded support and {1, 2, ...} is not; "
-                "use --r one or --r cell:IDX"
-            )
-        bound = max(abs(v) for v in (*config.atoms, config.lower, config.upper))
-        return identity(bound), bound
-    if spec.startswith("cell:"):
-        try:
-            idx = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise _UsageError(f"bad cell index in --r {spec!r}") from None
-        family = build_estimator(config).family
-        if not 0 <= idx < family.alphabet_size(family.num_levels - 1):
-            raise ConfigError(f"cell index {idx} out of range at the finest level")
-        return cell_indicator(family, idx), 1.0
-    raise _UsageError(f"unknown --r spec {spec!r}")
+def _make_r(args, config: RunConfig):
+    """Functional and bound from --r, else from the config's validated r."""
+    try:
+        return build_functional(args.r or config.r, config)
+    except SpecError as exc:
+        raise _UsageError(f"--r: {exc}") from None
 
 
 def _observations(args, config: RunConfig, stream):
@@ -197,7 +181,7 @@ def _cmd_estimate(args, config: RunConfig) -> int:
 
 def _cmd_predict(args, config: RunConfig) -> int:
     est = build_estimator(config)
-    r, bound = _make_r(args.r or config.r, config)
+    r, bound = _make_r(args, config)
     count = 0
     with _in(args) as stream, _out(args) as fh:
         for line, x in _observations(args, config, stream):
@@ -222,7 +206,7 @@ def _cmd_evaluate(args, config: RunConfig) -> int:
     source = build_source(config)
     seeds = (args.seed,) if args.seed is not None else config.seeds
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    r, bound = _make_r(args.r or config.r, config)
+    r, bound = _make_r(args, config)
     runs = prediction_error_trajectory(source, config, r, bound, seeds=seeds, jobs=jobs)
     with _out(args) as fh:
         for run in runs:

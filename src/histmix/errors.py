@@ -5,6 +5,10 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+class SpecError(ConfigError):
+    """Malformed functional spec: not one, identity or cell:IDX."""
+
+
 class OutOfSupportError(ValueError):
     """Observation outside the declared support."""
 

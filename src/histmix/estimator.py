@@ -171,11 +171,12 @@ class MixtureEstimator:
 
         Weights the mass-weighted mean of r over each cell by the per-level
         predictive cell probabilities and the posterior level weights. The
-        means are cached per r and computed by quadrature on the finest level
-        only: a coarser cell's mean is its children's, weighted by their
-        reference mass, which is exact because the measure is additive and
-        the children partition the parent. So the mean over any family cell
-        of that cell's indicator is exact, however narrow the cell. A
+        means are cached per r and computed by average_over_cell on the
+        finest level only: a coarser cell's mean is its children's, weighted
+        by their reference mass, which is exact because the measure is
+        additive and the children partition the parent. A cell indicator's
+        finest-level means are exact (1, 0 or a mass ratio), so its forecast
+        is exact however narrow the cell. A
         functional declaring itself constant (a `constant` attribute holding
         its value) is answered in closed form: the conditional law is a
         probability, so the expectation is the constant itself.

@@ -3,8 +3,10 @@
 A Functional wraps a plain callable with an optional bound and, when the
 function is a declared constant, its exact value. Consumers (the estimator's
 predict_functional, source conditional means) answer declared constants in
-closed form, so constant predictions carry no quadrature noise. Instances
-are picklable for worker-pool evaluation.
+closed form, so constant predictions carry no quadrature noise. A cell
+indicator carries its cell (indicated_cell), and ReferenceMeasure.integral
+integrates it exactly, to a cell mass, on both sides. Instances are
+picklable for worker-pool evaluation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Optional
 
 from .partition import Cell, PartitionFamily
 
-__all__ = ["Functional", "constant", "identity", "cell_indicator"]
+__all__ = ["Functional", "constant", "identity", "cell_indicator", "indicated_cell"]
 
 
 @dataclass(frozen=True)
@@ -62,3 +64,9 @@ def cell_indicator(family: PartitionFamily, index: int, level: int = -1) -> Func
     """Indicator of one cell, finest level by default."""
     cell = family.levels[level][index]
     return Functional(_Inside(cell), bound=1.0, name=f"cell:{index}")
+
+
+def indicated_cell(r) -> Optional[Cell]:
+    """The cell r is the indicator of, or None when r is no cell indicator."""
+    fn = getattr(r, "fn", r)
+    return fn.cell if isinstance(fn, _Inside) else None

@@ -6,8 +6,10 @@ reference atoms, `lo:hi:mass` for density pieces). Observation files carry
 one numeral per line. Both formats are deliberately diff-able.
 
 validate_config is the single gate: it fills defaults, cross-checks the
-partition family against the reference measure, stamps a digest, and builds
-the command's one prototype estimator, which runs every constructor check.
+partition family against the reference measure, checks the functional r
+names (build_functional, which the CLI's --r goes through too), stamps a
+digest, and builds the command's one prototype estimator, which runs every
+constructor check.
 build_estimator hands out fresh() copies of that prototype, so the family,
 the cell masses and the cell averages are built once per config. Anything
 validate_config accepts will run.
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, SpecError
 from .estimator import MixtureEstimator, default_weights
+from .functionals import cell_indicator, constant, identity
 from .partition import PartitionFamily, countable_tail_family, dyadic_family, mixed_family
 from .reference import ReferenceMeasure, example3_rule
 from .sources import SOURCE_KINDS
@@ -38,6 +41,7 @@ __all__ = [
     "build_reference",
     "build_estimator",
     "build_source",
+    "build_functional",
     "PRETRANSFORMS",
 ]
 
@@ -232,26 +236,12 @@ def build_source(config: RunConfig):
     cls = SOURCE_KINDS.get(kind)
     if cls is None:
         raise ConfigError(f"unknown source kind {config.source!r}")
+    # each source field is read from the RunConfig key of the same name
+    # (test_source_parameters_are_config_keys holds every kind to that);
+    # unset keys (None) keep the source's defaults
+    params = {f.name: getattr(config, f.name) for f in fields(cls)}
     try:
-        if kind == "uniform-iid":
-            return cls()
-        if kind == "piecewise-density-iid":
-            kwargs = {}
-            if config.breaks is not None:
-                kwargs["breaks"] = config.breaks
-            if config.densities is not None:
-                kwargs["densities"] = config.densities
-            return cls(**kwargs)
-        if kind == "mixed-atom":
-            return cls(
-                atom_point=config.atom_point,
-                atom_mass=config.atom_mass,
-                eta_atom_mass=config.eta_atom_mass,
-                continuous=config.continuous,
-            )
-        if kind == "countable-geometric":
-            return cls(ratio=config.ratio)
-        return cls(stay=config.stay)
+        return cls(**{k: v for k, v in params.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -271,6 +261,29 @@ def _prototype(config: RunConfig) -> MixtureEstimator:
 def build_estimator(config: RunConfig) -> MixtureEstimator:
     """An estimator that has seen no data; shares the config's prototype."""
     return _prototype(config).fresh()
+
+
+def build_functional(spec: str, config: RunConfig):
+    """The functional an r spec names, with its bound.
+
+    Specs: one; identity, on bounded supports only; cell:IDX, the indicator
+    of finest cell IDX of the config's family. A malformed spec raises
+    SpecError, a spec the family cannot take another ConfigError.
+    """
+    if spec == "one":
+        return constant(1.0), 1.0
+    if spec == "identity":
+        if config.family == "countable":
+            raise ConfigError("r = identity is unbounded on {1, 2, ...}; use one or cell:IDX")
+        bound = max(abs(v) for v in (*config.atoms, config.lower, config.upper))
+        return identity(bound), bound
+    kind, _, idx = spec.partition(":")
+    if kind != "cell" or not idx.removeprefix("-").isdecimal():
+        raise SpecError(f"unknown r spec {spec!r}; use one, identity or cell:IDX")
+    family = _prototype(config).family
+    if not 0 <= int(idx) < len(family.levels[-1]):
+        raise ConfigError(f"cell index {idx} out of range at the finest level")
+    return cell_indicator(family, int(idx)), 1.0
 
 
 def _canonical(config: RunConfig) -> str:
@@ -349,6 +362,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     reference = _prototype(normalized).reference
     if source is not None and reference != source.reference():
         raise ConfigError("reference measure does not match the source's")
+    build_functional(normalized.r, normalized)
     return replace(
         normalized,
         digest=hashlib.sha256(_canonical(normalized).encode()).hexdigest()[:12],

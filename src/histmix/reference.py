@@ -3,6 +3,9 @@
 One measure per coordinate; the estimator treats the stream as its n-fold
 product. Total mass over the support must not exceed 1, and every cell of a
 partition family used with the measure must carry strictly positive mass.
+The sources' conditional laws are ReferenceMeasures too, so integral is the
+one place a functional is integrated, for the estimator's cell averages and
+for the sources' conditional means alike.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BoundViolationError, ConfigError
+from .functionals import indicated_cell
 from .partition import Cell, PartitionFamily
 
 __all__ = [
@@ -56,11 +60,30 @@ def example3_rule() -> CountableRule:
     return _HarmonicGapRule(name="example3")
 
 
-def _checked(r, x, bound):
+def checked(r, x, bound) -> float:
+    """r(x) as a float; BoundViolationError when it exceeds bound."""
     v = float(r(x))
     if bound is not None and abs(v) > bound + 1e-12:
         raise BoundViolationError(f"r({x!r}) = {v} exceeds declared bound {bound}")
     return v
+
+
+def _overlap(a: Cell, b: Cell):
+    """The cell where a and b meet, or None when they are disjoint.
+
+    An interval and a tail share no mass: cell_mass charges an interval
+    with the pieces only and a tail with the countable part only.
+    """
+    if b.kind == "atom":
+        a, b = b, a
+    if a.kind == "atom":
+        return a if b.contains(a.point) else None
+    if a.kind != b.kind:
+        return None
+    if a.kind == "tail":
+        return max(a, b, key=lambda c: c.tail_start)
+    lo, hi = max(a.lower, b.lower), min(a.upper, b.upper)
+    return Cell.interval(lo, hi) if lo < hi else None
 
 
 def adaptive_midpoint(r, lower: float, upper: float, bound=None, rtol: float = _QUAD_RTOL) -> float:
@@ -73,13 +96,13 @@ def adaptive_midpoint(r, lower: float, upper: float, bound=None, rtol: float = _
     as indicators of narrow sets.
     """
     width = upper - lower
-    prev = width * _checked(r, lower + width / 2, bound)
+    prev = width * checked(r, lower + width / 2, bound)
     m = 2
     while m <= _MAX_SUBINTERVALS:
         h = width / m
         total = 0.0
         for j in range(m):
-            total += _checked(r, lower + (j + 0.5) * h, bound)
+            total += checked(r, lower + (j + 0.5) * h, bound)
         cur = h * total
         if m >= 64 and abs(cur - prev) <= max(rtol * abs(cur), 1e-15):
             return cur
@@ -134,32 +157,55 @@ class ReferenceMeasure:
                 total += m * (ohi - olo) / (hi - lo)
         return total
 
-    def average_over_cell(self, cell: Cell, r, bound=None, rtol: float = _QUAD_RTOL) -> float:
+    def integral(self, r, bound=None, cell=None) -> float:
+        """Integral of r against the measure, or against its restriction to cell.
+
+        The one integration path: average_over_cell and the sources'
+        conditional means both come here. A cell indicator integrates
+        exactly, to the cell_mass of its cell's overlap with the domain.
+        Otherwise atoms are exact, each uniform piece goes through
+        adaptive_midpoint (exact for affine r), and the countable part sums
+        2^16 terms and extends r by its value at the probe point beyond,
+        which is exact whenever r has settled to a constant by then. Every
+        value of r taken is checked against bound.
+        """
+        inside = indicated_cell(r)
+        if inside is not None:
+            inside = inside if cell is None else _overlap(inside, cell)
+            return 0.0 if inside is None else self.cell_mass(inside)
+        if cell is not None and cell.kind == "atom":
+            return self.cell_mass(cell) * checked(r, cell.point, bound)
+        total = 0.0
+        for p, m in self.atoms if cell is None else ():
+            total += m * checked(r, p, bound)
+        for lo, hi, m in self.pieces if cell is None or cell.kind == "interval" else ():
+            olo, ohi = (lo, hi) if cell is None else (max(lo, cell.lower), min(hi, cell.upper))
+            if olo < ohi:
+                total += m / (hi - lo) * adaptive_midpoint(r, olo, ohi, bound=bound)
+        # an interval cell has no tail_start, so no countable part
+        start = 1 if cell is None else cell.tail_start
+        if start is not None and self.countable is not None:
+            end = start + _TAIL_TERMS
+            for k in range(start, end):
+                total += self.countable.mass(k) * checked(r, k, bound)
+            total += self.countable.tail_mass(end) * checked(r, end, bound)
+        return total
+
+    def average_over_cell(self, cell: Cell, r, bound=None) -> float:
         """Mass-weighted mean of r over one cell: cell_mass^-1 * integral of r.
 
-        Exact for atoms; midpoint quadrature per overlapping piece for
-        intervals. Countable tails sum the first 2^16 terms and extend r by
-        its value at the probe point beyond, which is exact whenever r has
-        settled to a constant by then (constants and cell indicators do).
+        An atom cell's mean is r at its point, taken as is rather than as
+        mass * r / mass, which can be off by an ulp. Otherwise the integral
+        is integral(r, bound, cell): exact for cell indicators (1 on the
+        cell itself, 0 on a disjoint one), quadrature per overlapping piece
+        for intervals, the truncated tail sum for countable tails.
         """
         mass = self.cell_mass(cell)
         if mass <= 0:
             raise ConfigError(f"cell {cell} has zero reference mass")
         if cell.kind == "atom":
-            return _checked(r, cell.point, bound)
-        if cell.kind == "tail":
-            total = 0.0
-            for k in range(cell.tail_start, cell.tail_start + _TAIL_TERMS):
-                total += self.countable.mass(k) * _checked(r, k, bound)
-            remaining = self.countable.tail_mass(cell.tail_start + _TAIL_TERMS)
-            total += remaining * _checked(r, cell.tail_start + _TAIL_TERMS, bound)
-            return total / mass
-        total = 0.0
-        for lo, hi, m in self.pieces:
-            olo, ohi = max(lo, cell.lower), min(hi, cell.upper)
-            if olo < ohi:
-                total += m / (hi - lo) * adaptive_midpoint(r, olo, ohi, bound=bound, rtol=rtol)
-        return total / mass
+            return checked(r, cell.point, bound)
+        return self.integral(r, bound, cell) / mass
 
     def validate_family(self, family: PartitionFamily) -> None:
         """Reject configurations where any family cell carries zero mass."""

@@ -8,21 +8,28 @@ sequence bit for bit.
 
 true_log_density(x, last) is the log Radon-Nikodym derivative of the
 conditional law of the next value given the previous one (i.i.d. kinds
-ignore `last`). conditional_mean(r, last) integrates a functional against
-that same conditional law, in closed form where possible and by the shared
-quadrature otherwise.
+ignore `last`). law(last) is that conditional law as a ReferenceMeasure,
+built once per source (per state for the Markov chain), and
+conditional_mean(r, last) integrates a functional against it with
+ReferenceMeasure.integral, the estimator's integration path: exactly for
+declared constants and cell indicators, by the shared quadrature and tail
+sum otherwise. The exponential part of MixedAtomIID is the one law that is
+not piecewise uniform: there law() raises UnsupportedSourceError and
+conditional_mean integrates that part itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import OutOfSupportError, UnsupportedSourceError
-from .reference import ReferenceMeasure, adaptive_midpoint, example3_rule
+from .functionals import indicated_cell
+from .partition import Cell
+from .reference import CountableRule, ReferenceMeasure, adaptive_midpoint, checked, example3_rule
 
 __all__ = [
     "UniformIID",
@@ -34,7 +41,12 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_GEOM_TERMS = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _expectation(law: ReferenceMeasure, r, bound) -> float:
+    # by value: an oracle asks the same question at every step
+    return law.integral(r, bound)
 
 
 def _entropy_bits(probs) -> float:
@@ -45,21 +57,14 @@ def _entropy_bits(probs) -> float:
     return h / _LN2
 
 
-def _mean_or_const(r, bound, integrate):
-    # declared constants integrate to themselves against any conditional law
-    const = getattr(r, "constant", None)
-    if const is not None:
-        return const
-    return integrate(r, bound)
-
-
 class _Source:
     """Shared plumbing; concrete kinds define the law."""
 
     kind = ""
 
     def reference(self) -> ReferenceMeasure:
-        raise NotImplementedError
+        """The matched reference measure: uniform on [0, 1) unless a kind says otherwise."""
+        return ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
 
     def sample(self, n: int, seed: int):
         raise NotImplementedError
@@ -67,8 +72,17 @@ class _Source:
     def true_log_density(self, x, last=None) -> float:
         raise NotImplementedError
 
+    def law(self, last=None) -> ReferenceMeasure:
+        """Conditional law of the next value given the previous one."""
+        return self._law
+
     def conditional_mean(self, r, last=None, bound=None) -> float:
-        raise NotImplementedError
+        """E[r(next) | last], every value of r taken checked against bound."""
+        # declared constants integrate to themselves against any law
+        const = getattr(r, "constant", None)
+        if const is not None:
+            return const
+        return _expectation(self.law(last), r, bound)
 
     def quantized_entropy_rate(self, level: int) -> float:
         raise UnsupportedSourceError(f"{self.kind}: no closed-form quantized entropy")
@@ -89,9 +103,6 @@ class UniformIID(_Source):
 
     kind = "uniform-iid"
 
-    def reference(self) -> ReferenceMeasure:
-        return ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
-
     def sample(self, n: int, seed: int) -> np.ndarray:
         return np.random.default_rng(seed).random(n)
 
@@ -100,12 +111,9 @@ class UniformIID(_Source):
             raise OutOfSupportError(f"value {x!r} outside [0, 1)")
         return 0.0
 
-    def conditional_mean(self, r, last=None, bound=None) -> float:
-        return _mean_or_const(r, bound, self._integral)
-
-    @lru_cache(maxsize=None)
-    def _integral(self, r, bound) -> float:
-        return adaptive_midpoint(r, 0.0, 1.0, bound=bound)
+    @cached_property
+    def _law(self) -> ReferenceMeasure:
+        return self.reference()
 
     def quantized_entropy_rate(self, level: int) -> float:
         return float(level + 1)
@@ -134,9 +142,6 @@ class PiecewiseDensityIID(_Source):
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"piece densities integrate to {mass}, expected 1")
 
-    def reference(self) -> ReferenceMeasure:
-        return ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
-
     def _cdf(self) -> np.ndarray:
         b = np.asarray(self.breaks)
         d = np.asarray(self.densities)
@@ -160,26 +165,18 @@ class PiecewiseDensityIID(_Source):
             j += 1
         return math.log(self.densities[j])
 
-    def conditional_mean(self, r, last=None, bound=None) -> float:
-        return _mean_or_const(r, bound, self._integral)
-
-    @lru_cache(maxsize=None)
-    def _integral(self, r, bound) -> float:
-        total = 0.0
-        for j, rho in enumerate(self.densities):
-            total += rho * adaptive_midpoint(r, self.breaks[j], self.breaks[j + 1], bound=bound)
-        return total
+    @cached_property
+    def _law(self) -> ReferenceMeasure:
+        # normalized: the densities may integrate to 1 within 1e-9, and
+        # ReferenceMeasure's total-mass check allows 1e-12
+        masses = np.asarray(self.densities) * np.diff(self.breaks)
+        pieces = zip(self.breaks, self.breaks[1:], (masses / masses.sum()).tolist())
+        return ReferenceMeasure(pieces=tuple(pieces))
 
     def cell_probabilities(self, level: int) -> np.ndarray:
         """Exact source mass of each dyadic cell at the given level."""
-        edges = np.linspace(0.0, 1.0, 2 ** (level + 1) + 1)
-        out = np.zeros(len(edges) - 1)
-        for j, rho in enumerate(self.densities):
-            lo, hi = self.breaks[j], self.breaks[j + 1]
-            olo = np.clip(edges[:-1], lo, hi)
-            ohi = np.clip(edges[1:], lo, hi)
-            out += rho * np.maximum(ohi - olo, 0.0)
-        return out
+        k = 2 ** (level + 1)
+        return np.array([self._law.cell_mass(Cell.interval(j / k, (j + 1) / k)) for j in range(k)])
 
     def quantized_entropy_rate(self, level: int) -> float:
         return _entropy_bits(self.cell_probabilities(level))
@@ -229,18 +226,33 @@ class MixedAtomIID(_Source):
             vals = np.minimum(y / (1.0 + y), np.nextafter(1.0, 0.0))
         return np.where(hit, self.atom_point, vals)
 
-    def _in_support(self, x) -> bool:
-        return x == self.atom_point or 0.0 <= x < 1.0
-
     def _cont_log_density(self, x: float) -> float:
         if self.continuous == "uniform":
             return 0.0
         return -x / (1.0 - x) - 2.0 * math.log1p(-x)
 
     def _cont_cdf(self, x: float) -> float:
-        if self.continuous == "uniform":
-            return x
-        return -math.expm1(-x / (1.0 - x))
+        # the exponential part's; 1 from the open right edge on
+        return 1.0 if x >= 1.0 else -math.expm1(-x / (1.0 - x))
+
+    @property
+    def _exponential(self) -> bool:
+        # the one law here that is not piecewise uniform
+        return self.continuous == "exponential" and self.atom_mass < 1.0
+
+    @cached_property
+    def _law(self) -> ReferenceMeasure:
+        # with an exponential part this holds the atom alone, so it stays
+        # private: law() refuses and conditional_mean adds the part
+        atom = ((self.atom_point, self.atom_mass),)
+        if self.atom_mass == 1.0 or self.continuous != "uniform":
+            return ReferenceMeasure(atoms=atom)
+        return ReferenceMeasure(atoms=atom, pieces=((0.0, 1.0, 1.0 - self.atom_mass),))
+
+    def law(self, last=None) -> ReferenceMeasure:
+        if self._exponential:
+            raise UnsupportedSourceError(f"{self.kind}: exponential part is not piecewise uniform")
+        return self._law
 
     def true_log_density(self, x, last=None) -> float:
         if x == self.atom_point:
@@ -255,19 +267,24 @@ class MixedAtomIID(_Source):
         )
 
     def conditional_mean(self, r, last=None, bound=None) -> float:
-        return _mean_or_const(r, bound, self._integral)
+        if not self._exponential or getattr(r, "constant", None) is not None:
+            return super().conditional_mean(r, last, bound)
+        atom_part = _expectation(self._law, r, bound)
+        return atom_part + (1.0 - self.atom_mass) * self._exponential_mean(r, bound)
 
     @lru_cache(maxsize=None)
-    def _integral(self, r, bound) -> float:
-        total = self.atom_mass * float(r(self.atom_point))
-        if self.atom_mass == 1.0:
-            return total
-        if self.continuous == "uniform":
-            mean = adaptive_midpoint(r, 0.0, 1.0, bound=bound)
-        else:
-            weighted = lambda x: float(r(x)) * math.exp(self._cont_log_density(x))
-            mean = adaptive_midpoint(weighted, 0.0, 1.0)
-        return total + (1.0 - self.atom_mass) * mean
+    def _exponential_mean(self, r, bound) -> float:
+        # mean of r under the exponential part: a cell indicator through the
+        # CDF, anything else by quadrature of r times the density, which
+        # peaks at 4/e, so the bound is checked on r's values themselves
+        cell = indicated_cell(r)
+        if cell is None:
+            weighted = lambda x: checked(r, x, bound) * math.exp(self._cont_log_density(x))
+            return adaptive_midpoint(weighted, 0.0, 1.0)
+        if cell.kind != "interval":
+            return 0.0
+        lo, hi = max(cell.lower, 0.0), min(cell.upper, 1.0)
+        return self._cont_cdf(hi) - self._cont_cdf(lo) if lo < hi else 0.0
 
     def quantized_entropy_rate(self, level: int) -> float:
         m = self.atom_mass
@@ -278,9 +295,22 @@ class MixedAtomIID(_Source):
             return h + (1.0 - m) * (level + 1)
         k = 2 ** (level + 1)
         edges = [j / k for j in range(k + 1)]
-        cdf = [self._cont_cdf(e) for e in edges[:-1]] + [1.0]
+        cdf = [self._cont_cdf(e) for e in edges]
         probs = [hi - lo for lo, hi in zip(cdf, cdf[1:])]
         return h + (1.0 - m) * _entropy_bits(tuple(probs))
+
+
+@dataclass(frozen=True)
+class _GeometricRule(CountableRule):
+    """mass(k) = (1 - ratio) ratio^(k-1); tails sum to ratio^(start-1)."""
+
+    ratio: float = 0.5
+
+    def mass(self, k: int) -> float:
+        return (1.0 - self.ratio) * self.ratio ** (k - 1)
+
+    def tail_mass(self, start: int) -> float:
+        return self.ratio ** (start - 1)
 
 
 @dataclass(frozen=True)
@@ -300,8 +330,9 @@ class CountableGeometric(_Source):
     def sample(self, n: int, seed: int) -> np.ndarray:
         return np.random.default_rng(seed).geometric(1.0 - self.ratio, size=n)
 
-    def mass(self, k: int) -> float:
-        return (1.0 - self.ratio) * self.ratio ** (k - 1)
+    @cached_property
+    def _law(self) -> ReferenceMeasure:
+        return ReferenceMeasure(countable=_GeometricRule(name="geometric", ratio=self.ratio))
 
     def true_log_density(self, x, last=None) -> float:
         k = int(x)
@@ -313,26 +344,10 @@ class CountableGeometric(_Source):
             - math.log(example3_rule().mass(k))
         )
 
-    def conditional_mean(self, r, last=None, bound=None) -> float:
-        return _mean_or_const(r, bound, self._series)
-
-    @lru_cache(maxsize=None)
-    def _series(self, r, bound) -> float:
-        # explicit terms until the tail is negligible, then one probe value
-        # stands in for the remainder (exact for eventually constant r)
-        total = 0.0
-        k = 0
-        while k < _GEOM_TERMS:
-            k += 1
-            total += self.mass(k) * float(r(k))
-            if self.ratio**k < 1e-18:
-                break
-        total += self.ratio**k * float(r(k + 1))
-        return total
-
     def quantized_entropy_rate(self, level: int) -> float:
-        probs = [self.mass(k) for k in range(1, level + 2)]
-        probs.append(self.ratio ** (level + 1))
+        rule = self._law.countable
+        probs = [rule.mass(k) for k in range(1, level + 2)]
+        probs.append(rule.tail_mass(level + 2))
         return _entropy_bits(probs)
 
 
@@ -347,9 +362,6 @@ class BinaryMarkovEmbedded(_Source):
     def __post_init__(self):
         if not 0.0 < self.stay < 1.0:
             raise ValueError("stay probability must be in (0, 1)")
-
-    def reference(self) -> ReferenceMeasure:
-        return ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -373,20 +385,17 @@ class BinaryMarkovEmbedded(_Source):
         p = self.stay if s == self._state(last) else 1.0 - self.stay
         return _LN2 + math.log(p)
 
-    def conditional_mean(self, r, last=None, bound=None) -> float:
-        const = getattr(r, "constant", None)
-        if const is not None:
-            return const
-        if last is None:
-            p1 = 0.5
-        else:
-            s = self._state(last)
-            p1 = self.stay if s == 1 else 1.0 - self.stay
-        return (1.0 - p1) * self._half_mean(r, 0, bound) + p1 * self._half_mean(r, 1, bound)
+    @cached_property
+    def _laws(self) -> tuple:
+        # p1 is the chance of the upper half: after state 0, after state 1,
+        # then stationary for no history
+        return tuple(
+            ReferenceMeasure(pieces=((0.0, 0.5, 1.0 - p1), (0.5, 1.0, p1)))
+            for p1 in (1.0 - self.stay, self.stay, 0.5)
+        )
 
-    @lru_cache(maxsize=None)
-    def _half_mean(self, r, side: int, bound) -> float:
-        return 2.0 * adaptive_midpoint(r, side / 2.0, (side + 1) / 2.0, bound=bound)
+    def law(self, last=None) -> ReferenceMeasure:
+        return self._laws[-1 if last is None else self._state(last)]
 
     def quantized_entropy_rate(self, level: int) -> float:
         return _entropy_bits((self.stay, 1.0 - self.stay)) + level

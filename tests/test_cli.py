@@ -244,6 +244,36 @@ def test_identity_rejected_on_countable_support(cfgdir):
     assert proc.returncode == 0
 
 
+def test_evaluate_cell_indicator_error_decays(cfgdir):
+    # the oracle's exact cell probability is the truth the forecasts race
+    cfg = cfgdir / "uniform8.cfg"
+    cfg.write_text("source = uniform-iid\nlevels = 8\nseeds = 0,1\ncheckpoints = 256,1024,4096\n")
+    out = run_cli("evaluate", "--config", str(cfg), "--jobs", "1", "--r", "cell:1").stdout
+    mean_abs = [
+        float(dict(kv.split("=", 1) for kv in l.split()[1:])["mean_abs"])
+        for l in out.splitlines()
+        if l.startswith("record=pred_aggregate")
+    ]
+    assert len(mean_abs) == 3
+    assert mean_abs[0] > mean_abs[1] > mean_abs[2]
+
+
+def test_config_r_is_validated(cfgdir):
+    obs = synth(cfgdir, "uniform.cfg", "u.obs")
+    for spec in ("bogus", "cell:x", "cell:8", "cell:-1"):
+        cfg = cfgdir / "r.cfg"
+        cfg.write_text(UNIFORM_CFG + f"r = {spec}\n")
+        for args in (("synth",), ("estimate", "--input", str(obs)), ("evaluate", "--r", "one")):
+            proc = run_cli(*args, "--config", str(cfg), check=False)
+            assert proc.returncode == 3, (spec, args, proc.stderr)
+            assert "config error" in proc.stderr
+    # a malformed --r flag is a usage error; one the family cannot take, a config error
+    cfg = str(cfgdir / "uniform.cfg")
+    for spec, code in (("bogus", 1), ("cell:x", 1), ("cell:8", 3)):
+        proc = run_cli("predict", "--config", cfg, "--input", str(obs), "--r", spec, check=False)
+        assert proc.returncode == code, (spec, proc.stderr)
+
+
 def test_exit_usage_errors(cfgdir):
     assert run_cli("bogus", check=False).returncode == 1
     assert run_cli("estimate", "--config", str(cfgdir / "uniform.cfg"), check=False).returncode == 1

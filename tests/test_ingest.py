@@ -1,5 +1,6 @@
 """Config and observation parsing, cross-validation, digests."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from histmix import (
     ConfigError,
     ParseError,
     RunConfig,
+    SOURCE_KINDS,
     build_estimator,
     build_family,
     build_reference,
@@ -107,6 +109,15 @@ def test_family_follows_source():
 def test_markov_alias():
     cfg = validate_config(RunConfig(source="binary-markov"))
     assert build_source(cfg).kind == "binary-markov-embedded"
+
+
+def test_source_parameters_are_config_keys():
+    # build_source reads each source field from the RunConfig key of that name
+    config_keys = {f.name for f in fields(RunConfig)}
+    for cls in SOURCE_KINDS.values():
+        assert {f.name for f in fields(cls)} <= config_keys, cls.kind
+    src = build_source(RunConfig(source="mixed-atom", atom_mass=0.25, continuous="exponential"))
+    assert (src.atom_mass, src.continuous) == (0.25, "exponential")
 
 
 def test_reference_total_mass_capped():

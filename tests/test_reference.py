@@ -94,6 +94,12 @@ def test_average_over_cell_atom_and_interval():
     assert math.isclose(avg, 0.25, rel_tol=1e-12)
 
 
+def test_average_over_cell_atom_is_exact():
+    # a mass that is not a power of two: m * r / m would be off by an ulp
+    m = ReferenceMeasure(atoms=((-0.3, 0.1),), pieces=((0.0, 1.0, 0.9),))
+    assert m.average_over_cell(Cell.atom(-0.3), lambda x: 3.0) == 3.0
+
+
 def test_average_over_cell_tail():
     m = ReferenceMeasure(countable=example3_rule())
     # indicator of {5} inside the tail from 4: (1/5-1/6) / (1/4) = 2/15

@@ -1,6 +1,7 @@
 """Synthetic stream generators and their closed-form oracles."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -8,15 +9,23 @@ from scipy import stats
 
 from histmix import (
     BinaryMarkovEmbedded,
+    BoundViolationError,
     CountableGeometric,
+    Functional,
     MixedAtomIID,
     PiecewiseDensityIID,
     SOURCE_KINDS,
     UniformIID,
     UnsupportedSourceError,
+    build_source,
+    cell_indicator,
     constant,
+    countable_tail_family,
+    dyadic_family,
     example3_rule,
     identity,
+    load_config,
+    mixed_family,
 )
 
 
@@ -273,3 +282,94 @@ def test_parameter_validation():
         BinaryMarkovEmbedded(stay=0.0)
     with pytest.raises(Exception):
         MixedAtomIID(atom_mass=1.5)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        UniformIID(),
+        PiecewiseDensityIID(),
+        MixedAtomIID(),
+        pytest.param(MixedAtomIID(continuous="exponential"), id="mixed-atom-exponential"),
+        CountableGeometric(),
+        BinaryMarkovEmbedded(),
+    ],
+    ids=lambda src: src.kind,
+)
+def test_conditional_mean_checks_the_bound(src):
+    too_big = Functional(lambda x: 5.0, bound=1.0)
+    with pytest.raises(BoundViolationError):
+        src.conditional_mean(too_big, bound=1.0)
+
+
+def _exp_cdf(x):
+    return 1.0 if x >= 1.0 else -math.expm1(-x / (1.0 - x))
+
+
+def _oracle_cases():
+    dyadic = dyadic_family(0, 1, 8)
+    mixed = mixed_family((-1.0,), 0, 1, 8)
+    countable = countable_tail_family(8)
+    piecewise = PiecewiseDensityIID()
+    cells = dyadic.levels[-1]
+    yield "uniform", UniformIID(), dyadic, None, [c.upper - c.lower for c in cells]
+    # level-7 cells nest in the density pieces
+    density = [piecewise.densities[bisect_right(piecewise.breaks, c.lower) - 1] for c in cells]
+    yield "piecewise", piecewise, dyadic, None, [d / 256 for d in density]
+    for last, p_high in ((None, 0.5), (0.2, 0.1), (0.8, 0.9)):
+        probs = [
+            (p_high if c.lower >= 0.5 else 1.0 - p_high) * (c.upper - c.lower) * 2.0
+            for c in cells
+        ]
+        yield f"markov-last-{last}", BinaryMarkovEmbedded(stay=0.9), dyadic, last, probs
+    intervals = mixed.levels[-1][1:]
+    yield "mixed-uniform", MixedAtomIID(), mixed, None, [0.5] + [
+        0.5 * (c.upper - c.lower) for c in intervals
+    ]
+    yield "mixed-exponential", MixedAtomIID(continuous="exponential"), mixed, None, [0.5] + [
+        0.5 * (_exp_cdf(c.upper) - _exp_cdf(c.lower)) for c in intervals
+    ]
+    ratio = 0.8
+    yield "countable", CountableGeometric(ratio=ratio), countable, None, [
+        (1.0 - ratio) * ratio ** (k - 1) for k in range(1, 9)
+    ] + [ratio**8]
+
+
+@pytest.mark.parametrize(
+    "src,family,last,probs", [pytest.param(*case[1:], id=case[0]) for case in _oracle_cases()]
+)
+def test_cell_indicator_oracles_are_exact(src, family, last, probs):
+    # every finest cell, however narrow, gets its exact probability
+    cells = family.levels[-1]
+    assert len(probs) == len(cells)
+    for j, want in enumerate(probs):
+        got = src.conditional_mean(cell_indicator(family, j), last, bound=1.0)
+        assert abs(got - want) < 1e-12, (j, got, want)
+
+
+def test_piecewise_source_just_inside_mass_tolerance():
+    # densities integrating to 1 + 5e-10 pass the source's 1e-9 check; its
+    # law must not fail the reference measure's tighter one
+    config = load_config(
+        "source = piecewise-density-iid\nbreaks = 0,0.5,1\ndensities = 1,1.000000001\n"
+    )
+    src = build_source(config)
+    assert math.isclose(src.conditional_mean(identity(1.0), bound=1.0), 0.5, rel_tol=1e-8)
+    family = dyadic_family(0, 1, 3)
+    total = sum(src.conditional_mean(cell_indicator(family, j)) for j in range(8))
+    assert abs(total - 1.0) < 1e-12
+
+
+def test_exponential_mixed_atom_has_no_law():
+    # its continuous part is not piecewise uniform, so no ReferenceMeasure is its law
+    with pytest.raises(UnsupportedSourceError):
+        MixedAtomIID(continuous="exponential").law()
+
+
+def test_deterministic_mixed_atom_law_has_no_piece():
+    src = MixedAtomIID(atom_mass=1.0, continuous="exponential")
+    assert src.law().pieces == ()
+    assert src.conditional_mean(identity(1.0), bound=1.0) == -1.0
+    family = mixed_family((-1.0,), 0, 1, 2)
+    assert src.conditional_mean(cell_indicator(family, 0)) == 1.0
+    assert src.conditional_mean(cell_indicator(family, 3)) == 0.0
