@@ -71,7 +71,7 @@ def _check_match(source, config: RunConfig):
         raise ConfigError("estimator reference measure does not match the source's")
 
 
-def _run_seed(source, config, seed, checkpoints, r=None, bound=None, predictor=None):
+def _run_seed(source, config, seed, checkpoints, r=None, bound=None):
     """Stream one seed's sample through a fresh estimator; forecasts r before
     each observation only when r is given."""
     est = build_estimator(config)
@@ -86,10 +86,7 @@ def _run_seed(source, config, seed, checkpoints, r=None, bound=None, predictor=N
     for j, x in enumerate(xs, 1):
         if r is not None:
             # forecast strictly before consuming: one-step-ahead semantics
-            if predictor is None:
-                pred = est.predict_functional(r, bound)
-            else:
-                pred = predictor(last)
+            pred = est.predict_functional(r, bound)
             diff = source.conditional_mean(r, last, bound) - pred
             sq += diff * diff
             ab += abs(diff)
@@ -110,8 +107,8 @@ def _kl_one_seed(args) -> RunMetrics:
 
 
 def _pred_one_seed(args) -> RunMetrics:
-    source, config, r, bound, seed, checkpoints, predictor = args
-    return _run_seed(source, config, seed, checkpoints, r, bound, predictor)
+    source, config, r, bound, seed, checkpoints = args
+    return _run_seed(source, config, seed, checkpoints, r, bound)
 
 
 def _fan_out(worker, arglists, jobs: int):
@@ -144,18 +141,13 @@ def prediction_error_trajectory(
     seeds: Optional[Sequence[int]] = None,
     checkpoints: Optional[Sequence[int]] = None,
     jobs: int = 1,
-    predictor=None,
 ) -> list[RunMetrics]:
     """Cesaro-averaged squared and absolute one-step prediction errors, in
-    records that also carry the KL and posterior that kl_trajectory reports.
-
-    predictor overrides the estimator's forecast (callable of the previous
-    observation); passing the source's own conditional mean must yield zero.
-    """
+    records that also carry the KL and posterior that kl_trajectory reports."""
     _check_match(source, config)
     seeds = tuple(seeds if seeds is not None else config.seeds)
     checkpoints = tuple(checkpoints if checkpoints is not None else config.checkpoints)
-    args = [(source, config, r, bound, s, checkpoints, predictor) for s in seeds]
+    args = [(source, config, r, bound, s, checkpoints) for s in seeds]
     return _fan_out(_pred_one_seed, args, jobs)
 
 

@@ -5,7 +5,8 @@ product. Total mass over the support must not exceed 1, and every cell of a
 partition family used with the measure must carry strictly positive mass.
 The sources' conditional laws are ReferenceMeasures too, so integral is the
 one place a functional is integrated, for the estimator's cell averages and
-for the sources' conditional means alike.
+for the sources' conditional means alike, and density the one place a
+source's density is read off its law.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import BoundViolationError, ConfigError
 from .functionals import indicated_cell
-from .partition import Cell, PartitionFamily
+from .partition import Cell, PartitionFamily, _is_natural
 
 __all__ = [
     "CountableRule",
@@ -119,6 +120,7 @@ class ReferenceMeasure:
     pieces: tuple[tuple[float, float, float], ...] = ()
     countable: CountableRule | None = None
     _atom_mass: dict = field(init=False, repr=False, compare=False, default=None)
+    _piece_density: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for p, m in self.atoms:
@@ -132,6 +134,8 @@ class ReferenceMeasure:
         if self.total_mass() > 1.0 + _MASS_TOL:
             raise ConfigError(f"total mass {self.total_mass()} exceeds 1")
         object.__setattr__(self, "_atom_mass", dict(self.atoms))
+        densities = tuple((lo, hi, m / (hi - lo)) for lo, hi, m in self.pieces)
+        object.__setattr__(self, "_piece_density", densities)
 
     def total_mass(self) -> float:
         total = sum(m for _, m in self.atoms) + sum(m for _, _, m in self.pieces)
@@ -155,6 +159,24 @@ class ReferenceMeasure:
             olo, ohi = max(lo, cell.lower), min(hi, cell.upper)
             if olo < ohi:
                 total += m * (ohi - olo) / (hi - lo)
+        return total
+
+    def density(self, x) -> float:
+        """Density at x: against counting measure on the atoms and the
+        naturals the countable rule charges, against length elsewhere.
+
+        That is the mass at an atom or a charged natural, otherwise the
+        summed mass / width of the pieces holding x, and 0 off the support.
+        """
+        m = self._atom_mass.get(x)
+        if m is not None:
+            return m
+        if self.countable is not None and _is_natural(x):
+            return self.countable.mass(int(x))
+        total = 0.0
+        for lo, hi, d in self._piece_density:
+            if lo <= x < hi:
+                total += d
         return total
 
     def integral(self, r, bound=None, cell=None) -> float:
@@ -208,7 +230,13 @@ class ReferenceMeasure:
         return self.integral(r, bound, cell) / mass
 
     def validate_family(self, family: PartitionFamily) -> None:
-        """Reject configurations where any family cell carries zero mass."""
+        """Reject configurations where any family cell carries zero mass, or
+        a reference atom is not a finest cell of its own.
+
+        cell_mass charges an interval with the pieces only and a tail with
+        the countable part only, so an atom inside either would be mass that
+        no finest cell holds.
+        """
         for i, cells in enumerate(family.levels):
             for cell in cells:
                 if self.cell_mass(cell) <= 0:
@@ -219,3 +247,9 @@ class ReferenceMeasure:
         for p, _ in self.atoms:
             if not family.support.contains(p):
                 raise ConfigError(f"reference atom at {p} lies outside the family support")
+            finest = family.levels[-1][family.project(family.num_levels - 1, p)]
+            if finest.kind != "atom":
+                raise ConfigError(
+                    f"reference atom at {p} lies inside the family cell {finest}; "
+                    "it needs an atom cell of its own"
+                )

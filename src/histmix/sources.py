@@ -6,16 +6,19 @@ KL and prediction-error measurements a matter of bookkeeping rather than
 estimation. All sampling is driven by numpy Generators, so a seed pins the
 sequence bit for bit.
 
-true_log_density(x, last) is the log Radon-Nikodym derivative of the
-conditional law of the next value given the previous one (i.i.d. kinds
-ignore `last`). law(last) is that conditional law as a ReferenceMeasure,
-built once per source (per state for the Markov chain), and
-conditional_mean(r, last) integrates a functional against it with
-ReferenceMeasure.integral, the estimator's integration path: exactly for
-declared constants and cell indicators, by the shared quadrature and tail
-sum otherwise. The exponential part of MixedAtomIID is the one law that is
-not piecewise uniform: there law() raises UnsupportedSourceError and
-conditional_mean integrates that part itself.
+law(last) is the conditional law of the next value given the previous one
+(i.i.d. kinds ignore `last`) as a ReferenceMeasure, built once per source
+(per state for the Markov chain); a kind defines little more than its
+sampler, its law and, where not uniform, its reference. Both oracles come
+from the law. true_log_density(x, last), the log Radon-Nikodym derivative
+against the reference, is the log ratio of the law's and the reference's
+ReferenceMeasure.density at x. conditional_mean(r, last) integrates a
+functional against the law with ReferenceMeasure.integral, the estimator's
+integration path: exactly for declared constants and cell indicators, by
+the shared quadrature and tail sum otherwise. The exponential part of
+MixedAtomIID is the one law that is not piecewise uniform: there law()
+raises UnsupportedSourceError, and true_log_density and conditional_mean
+take that part from its closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 
 from .errors import OutOfSupportError, UnsupportedSourceError
 from .functionals import indicated_cell
-from .partition import Cell
 from .reference import CountableRule, ReferenceMeasure, adaptive_midpoint, checked, example3_rule
 
 __all__ = [
@@ -40,21 +42,11 @@ __all__ = [
     "SOURCE_KINDS",
 ]
 
-_LN2 = math.log(2.0)
-
 
 @lru_cache(maxsize=None)
 def _expectation(law: ReferenceMeasure, r, bound) -> float:
     # by value: an oracle asks the same question at every step
     return law.integral(r, bound)
-
-
-def _entropy_bits(probs) -> float:
-    h = 0.0
-    for p in probs:
-        if p > 0:
-            h -= p * math.log(p)
-    return h / _LN2
 
 
 class _Source:
@@ -66,15 +58,27 @@ class _Source:
         """The matched reference measure: uniform on [0, 1) unless a kind says otherwise."""
         return ReferenceMeasure(pieces=((0.0, 1.0, 1.0),))
 
-    def sample(self, n: int, seed: int):
-        raise NotImplementedError
+    @cached_property
+    def _reference(self) -> ReferenceMeasure:
+        return self.reference()
 
-    def true_log_density(self, x, last=None) -> float:
+    def sample(self, n: int, seed: int):
         raise NotImplementedError
 
     def law(self, last=None) -> ReferenceMeasure:
         """Conditional law of the next value given the previous one."""
         return self._law
+
+    def true_log_density(self, x, last=None) -> float:
+        """log d law(last) / d reference at x, from the two measures' densities."""
+        return self._log_ratio(self.law(last).density(x), x)
+
+    def _log_ratio(self, density, x) -> float:
+        # -inf where only the law lacks density: a deterministic mixed atom
+        ref = self._reference.density(x)
+        if ref == 0.0:
+            raise OutOfSupportError(f"value {x!r} outside the {self.kind} support")
+        return math.log(density / ref) if density > 0.0 else -math.inf
 
     def conditional_mean(self, r, last=None, bound=None) -> float:
         """E[r(next) | last], every value of r taken checked against bound."""
@@ -83,18 +87,6 @@ class _Source:
         if const is not None:
             return const
         return _expectation(self.law(last), r, bound)
-
-    def quantized_entropy_rate(self, level: int) -> float:
-        raise UnsupportedSourceError(f"{self.kind}: no closed-form quantized entropy")
-
-    def log_density_seq(self, xs) -> float:
-        """Total log density of a sequence w.r.t. the reference, via the chain rule."""
-        total = 0.0
-        last = None
-        for x in xs:
-            total += self.true_log_density(x, last)
-            last = x
-        return total
 
 
 @dataclass(frozen=True)
@@ -106,17 +98,9 @@ class UniformIID(_Source):
     def sample(self, n: int, seed: int) -> np.ndarray:
         return np.random.default_rng(seed).random(n)
 
-    def true_log_density(self, x, last=None) -> float:
-        if not 0.0 <= x < 1.0:
-            raise OutOfSupportError(f"value {x!r} outside [0, 1)")
-        return 0.0
-
     @cached_property
     def _law(self) -> ReferenceMeasure:
-        return self.reference()
-
-    def quantized_entropy_rate(self, level: int) -> float:
-        return float(level + 1)
+        return self._reference
 
 
 @dataclass(frozen=True)
@@ -157,14 +141,6 @@ class PiecewiseDensityIID(_Source):
         # division rounding can land exactly on the open right edge
         return np.minimum(x, np.nextafter(1.0, 0.0))
 
-    def true_log_density(self, x, last=None) -> float:
-        if not 0.0 <= x < 1.0:
-            raise OutOfSupportError(f"value {x!r} outside [0, 1)")
-        j = 0
-        while x >= self.breaks[j + 1]:
-            j += 1
-        return math.log(self.densities[j])
-
     @cached_property
     def _law(self) -> ReferenceMeasure:
         # normalized: the densities may integrate to 1 within 1e-9, and
@@ -172,14 +148,6 @@ class PiecewiseDensityIID(_Source):
         masses = np.asarray(self.densities) * np.diff(self.breaks)
         pieces = zip(self.breaks, self.breaks[1:], (masses / masses.sum()).tolist())
         return ReferenceMeasure(pieces=tuple(pieces))
-
-    def cell_probabilities(self, level: int) -> np.ndarray:
-        """Exact source mass of each dyadic cell at the given level."""
-        k = 2 ** (level + 1)
-        return np.array([self._law.cell_mass(Cell.interval(j / k, (j + 1) / k)) for j in range(k)])
-
-    def quantized_entropy_rate(self, level: int) -> float:
-        return _entropy_bits(self.cell_probabilities(level))
 
 
 @dataclass(frozen=True)
@@ -227,8 +195,7 @@ class MixedAtomIID(_Source):
         return np.where(hit, self.atom_point, vals)
 
     def _cont_log_density(self, x: float) -> float:
-        if self.continuous == "uniform":
-            return 0.0
+        # the exponential part's
         return -x / (1.0 - x) - 2.0 * math.log1p(-x)
 
     def _cont_cdf(self, x: float) -> float:
@@ -243,7 +210,8 @@ class MixedAtomIID(_Source):
     @cached_property
     def _law(self) -> ReferenceMeasure:
         # with an exponential part this holds the atom alone, so it stays
-        # private: law() refuses and conditional_mean adds the part
+        # private: law() refuses, and true_log_density and conditional_mean
+        # add the part
         atom = ((self.atom_point, self.atom_mass),)
         if self.atom_mass == 1.0 or self.continuous != "uniform":
             return ReferenceMeasure(atoms=atom)
@@ -255,16 +223,10 @@ class MixedAtomIID(_Source):
         return self._law
 
     def true_log_density(self, x, last=None) -> float:
-        if x == self.atom_point:
-            return math.log(self.atom_mass / self.eta_atom_mass)
-        if not 0.0 <= x < 1.0:
-            raise OutOfSupportError(f"value {x!r} outside the mixed support")
-        if self.atom_mass == 1.0:
-            return -math.inf
-        return (
-            math.log((1.0 - self.atom_mass) / (1.0 - self.eta_atom_mass))
-            + self._cont_log_density(x)
-        )
+        # the one density not read off a law: the exponential part's closed form
+        if not self._exponential or x == self.atom_point:
+            return self._log_ratio(self._law.density(x), x)
+        return self._log_ratio(1.0 - self.atom_mass, x) + self._cont_log_density(x)
 
     def conditional_mean(self, r, last=None, bound=None) -> float:
         if not self._exponential or getattr(r, "constant", None) is not None:
@@ -285,19 +247,6 @@ class MixedAtomIID(_Source):
             return 0.0
         lo, hi = max(cell.lower, 0.0), min(cell.upper, 1.0)
         return self._cont_cdf(hi) - self._cont_cdf(lo) if lo < hi else 0.0
-
-    def quantized_entropy_rate(self, level: int) -> float:
-        m = self.atom_mass
-        h = _entropy_bits((m, 1.0 - m))
-        if m == 1.0:
-            return h
-        if self.continuous == "uniform":
-            return h + (1.0 - m) * (level + 1)
-        k = 2 ** (level + 1)
-        edges = [j / k for j in range(k + 1)]
-        cdf = [self._cont_cdf(e) for e in edges]
-        probs = [hi - lo for lo, hi in zip(cdf, cdf[1:])]
-        return h + (1.0 - m) * _entropy_bits(tuple(probs))
 
 
 @dataclass(frozen=True)
@@ -334,22 +283,6 @@ class CountableGeometric(_Source):
     def _law(self) -> ReferenceMeasure:
         return ReferenceMeasure(countable=_GeometricRule(name="geometric", ratio=self.ratio))
 
-    def true_log_density(self, x, last=None) -> float:
-        k = int(x)
-        if k != x or k < 1:
-            raise OutOfSupportError(f"value {x!r} is not a positive integer")
-        return (
-            math.log(1.0 - self.ratio)
-            + (k - 1) * math.log(self.ratio)
-            - math.log(example3_rule().mass(k))
-        )
-
-    def quantized_entropy_rate(self, level: int) -> float:
-        rule = self._law.countable
-        probs = [rule.mass(k) for k in range(1, level + 2)]
-        probs.append(rule.tail_mass(level + 2))
-        return _entropy_bits(probs)
-
 
 @dataclass(frozen=True)
 class BinaryMarkovEmbedded(_Source):
@@ -378,13 +311,6 @@ class BinaryMarkovEmbedded(_Source):
             raise OutOfSupportError(f"value {x!r} outside [0, 1)")
         return 1 if x >= 0.5 else 0
 
-    def true_log_density(self, x, last=None) -> float:
-        s = self._state(x)
-        if last is None:
-            return 0.0  # stationary: density 2 * (1/2) = 1
-        p = self.stay if s == self._state(last) else 1.0 - self.stay
-        return _LN2 + math.log(p)
-
     @cached_property
     def _laws(self) -> tuple:
         # p1 is the chance of the upper half: after state 0, after state 1,
@@ -396,9 +322,6 @@ class BinaryMarkovEmbedded(_Source):
 
     def law(self, last=None) -> ReferenceMeasure:
         return self._laws[-1 if last is None else self._state(last)]
-
-    def quantized_entropy_rate(self, level: int) -> float:
-        return _entropy_bits((self.stay, 1.0 - self.stay)) + level
 
 
 SOURCE_KINDS = {

@@ -288,6 +288,18 @@ def test_exit_config_error(cfgdir):
     assert "config error" in proc.stderr
 
 
+def test_reference_atom_inside_interval_cell_is_config_error(cfgdir):
+    # the finest cell [0.5, 0.625) would carry the pieces' mass only, so the
+    # predictive density would integrate to 1/0.9 against the reference
+    cfg = cfgdir / "atom.cfg"
+    cfg.write_text("eta_atoms = 0.5:0.1\neta_pieces = 0:1:0.9\nlevels = 3\n")
+    obs = cfgdir / "atom.obs"
+    obs.write_text("0.1\n0.5\n0.7\n")
+    proc = run_cli("estimate", "--config", str(cfg), "--input", str(obs), check=False)
+    assert proc.returncode == 3
+    assert "reference atom at 0.5" in proc.stderr
+
+
 def test_exit_data_error(cfgdir):
     bad = cfgdir / "bad.obs"
     bad.write_text("0.5\nnot-a-number\n")

@@ -57,7 +57,11 @@ def test_kl_two_pass_recomputation():
     xs = src.sample(1024, seed=5)
     est = build_estimator(cfg)
     est.observe_all(xs)
-    true_total = src.log_density_seq(xs)
+    true_total = 0.0
+    last = None
+    for x in xs:
+        true_total += src.true_log_density(x, last)
+        last = x
     want = (true_total - est.joint_log_density) / (1024 * math.log(2))
     assert abs(got - want) < 1e-9
 
@@ -94,19 +98,6 @@ def test_prediction_average_decreases_iid():
     first = median_at(metrics, 64, attr="cum_pred_sq_error")
     last = median_at(metrics, 256, attr="cum_pred_sq_error")
     assert last < first
-
-
-def test_oracle_predictor_zero_error():
-    # handing the source's own conditional mean as the forecast zeroes the gap
-    src = BinaryMarkovEmbedded()
-    cfg = small_config(source="binary-markov-embedded", seeds=(0,))
-    r = identity(bound=1.0)
-    (m,) = prediction_error_trajectory(
-        src, cfg, r, bound=1.0, predictor=lambda last: src.conditional_mean(r, last, 1.0)
-    )
-    for c in m.checkpoints:
-        assert c.cum_pred_sq_error == 0.0
-        assert c.cum_pred_abs_error == 0.0
 
 
 def test_constant_functional_zero_error():

@@ -1,6 +1,7 @@
 """Reference-measure arithmetic: masses, quadrature, cell averages."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from histmix import (
     mixed_family,
     countable_tail_family,
 )
+from histmix.reference import CountableRule
 
 
 def test_harmonic_gap_masses_match_fraction_oracle():
@@ -144,3 +146,32 @@ def test_validate_family_rejects_stray_reference_atom():
     m = ReferenceMeasure(atoms=((2.0, 0.1),), pieces=((0.0, 1.0, 0.9),))
     with pytest.raises(ConfigError):
         m.validate_family(dyadic_family(0.0, 1.0, 3))
+
+
+@dataclass(frozen=True)
+class _HalfHarmonicRule(CountableRule):
+    """Half the harmonic-gap masses, leaving room for an atom."""
+
+    def mass(self, k):
+        return 0.5 / (k * (k + 1))
+
+    def tail_mass(self, start):
+        return 0.5 / start
+
+
+def test_validate_family_rejects_reference_atom_in_non_atom_cell():
+    # no finest cell would hold the atom's mass: cell_mass charges an
+    # interval with the pieces only and a tail with the countable part only
+    in_interval = ReferenceMeasure(atoms=((0.5, 0.1),), pieces=((0.0, 1.0, 0.9),))
+    with pytest.raises(ConfigError):
+        in_interval.validate_family(dyadic_family(0.0, 1.0, 3))
+    in_tail = ReferenceMeasure(atoms=((9.0, 0.5),), countable=_HalfHarmonicRule(name="half"))
+    with pytest.raises(ConfigError):
+        in_tail.validate_family(countable_tail_family(3))
+    # once the finest level isolates 9, its atom cell carries the atom
+    in_tail.validate_family(countable_tail_family(9))
+
+
+def test_validate_family_accepts_reference_atom_with_atom_cell():
+    m = ReferenceMeasure(atoms=((-1.0, 0.3),), pieces=((0.0, 1.0, 0.7),))
+    m.validate_family(mixed_family((-1.0,), 0.0, 1.0, 3))

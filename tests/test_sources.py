@@ -10,9 +10,11 @@ from scipy import stats
 from histmix import (
     BinaryMarkovEmbedded,
     BoundViolationError,
+    Cell,
     CountableGeometric,
     Functional,
     MixedAtomIID,
+    OutOfSupportError,
     PiecewiseDensityIID,
     SOURCE_KINDS,
     UniformIID,
@@ -51,12 +53,6 @@ def test_uniform_log_density_is_zero():
     assert all(src.true_log_density(x) == 0.0 for x in xs)
 
 
-def test_uniform_entropy_rate():
-    src = UniformIID()
-    for level in range(5):
-        assert src.quantized_entropy_rate(level) == level + 1
-
-
 def test_uniform_empirical_spread():
     xs = UniformIID().sample(100_000, seed=1)
     assert (xs >= 0.0).all() and (xs < 1.0).all()
@@ -82,27 +78,14 @@ def test_piecewise_log_density_values():
     assert math.isclose(src.true_log_density(0.9), math.log(0.75), rel_tol=1e-12)
 
 
-def test_piecewise_cell_probabilities_sum():
-    src = PiecewiseDensityIID()
-    for level in range(4):
-        p = src.cell_probabilities(level)
-        assert abs(p.sum() - 1.0) < 1e-12
-
-
 def test_piecewise_empirical_matches_oracle():
     src = PiecewiseDensityIID()
     xs = src.sample(100_000, seed=2)
-    expect = src.cell_probabilities(1)  # 4 cells aligned with the density breaks
+    # 4 cells aligned with the density breaks
+    expect = np.array([src.law().cell_mass(Cell.interval(j / 4, (j + 1) / 4)) for j in range(4)])
     counts, _ = np.histogram(xs, bins=4, range=(0.0, 1.0))
     p = stats.chisquare(counts, f_exp=expect * len(xs)).pvalue
     assert p > 0.001
-
-
-def test_piecewise_entropy_rate_level1():
-    src = PiecewiseDensityIID()
-    p = src.cell_probabilities(1)
-    want = -(p * np.log2(p)).sum()
-    assert math.isclose(src.quantized_entropy_rate(1), want, rel_tol=1e-12)
 
 
 def test_mixed_atom_fraction():
@@ -123,13 +106,6 @@ def test_mixed_atom_log_density():
     skew = MixedAtomIID(atom_mass=0.8, eta_atom_mass=0.5)
     assert math.isclose(skew.true_log_density(-1.0), math.log(0.8 / 0.5), rel_tol=1e-12)
     assert math.isclose(skew.true_log_density(0.4), math.log(0.2 / 0.5), rel_tol=1e-12)
-
-
-def test_mixed_atom_entropy_rate():
-    src = MixedAtomIID()
-    # level 0: atom plus two half-interval cells with mass 1/2, 1/4, 1/4
-    assert math.isclose(src.quantized_entropy_rate(0), 1.5, rel_tol=1e-12)
-    assert math.isclose(src.quantized_entropy_rate(2), 1.0 + 0.5 * 3, rel_tol=1e-12)
 
 
 def test_mixed_atom_exponential_variant():
@@ -160,10 +136,6 @@ def test_mixed_atom_exponential_log_density():
 
 def test_mixed_atom_exponential_entropy_and_mean():
     src = MixedAtomIID(continuous="exponential")
-    # entropy strictly below the uniform variant at the same level
-    uni = MixedAtomIID()
-    for level in range(3):
-        assert src.quantized_entropy_rate(level) < uni.quantized_entropy_rate(level)
     got = src.conditional_mean(identity())
     want = 0.5 * (-1.0) + 0.5 * (1.0 - math.e * 0.21938393439552027)
     assert abs(got - want) < 1e-6
@@ -190,16 +162,6 @@ def test_countable_geometric_log_density():
     assert math.isclose(src.true_log_density(1.0), math.log(0.5 / rule.mass(1)), rel_tol=1e-12)
     assert math.isclose(src.true_log_density(3.0), math.log(0.125 / rule.mass(3)), rel_tol=1e-12)
     assert src.true_log_density(1.0) == 0.0  # 1/2 matches the first gap exactly
-
-
-def test_countable_geometric_entropy_rate():
-    # cells {1}..{level+1} plus the tail; enumerate the masses directly
-    src = CountableGeometric()
-    for level in range(4):
-        ps = [0.5**k for k in range(1, level + 2)]
-        ps.append(1.0 - sum(ps))
-        want = -sum(p * math.log2(p) for p in ps)
-        assert math.isclose(src.quantized_entropy_rate(level), want, rel_tol=1e-12)
 
 
 def test_countable_conditional_mean():
@@ -233,13 +195,6 @@ def test_markov_log_density_sequence():
     assert math.isclose(src.true_log_density(0.9, last=0.2), math.log(0.2), rel_tol=1e-12)
 
 
-def test_markov_entropy_rate():
-    src = BinaryMarkovEmbedded(stay=0.9)
-    hb = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
-    for level in range(4):
-        assert math.isclose(src.quantized_entropy_rate(level), hb + level, rel_tol=1e-12)
-
-
 def test_markov_conditional_mean_of_identity():
     src = BinaryMarkovEmbedded(stay=0.9)
     # from the low state: mean = stay*E[U/2] + (1-stay)*E[(1+U)/2]
@@ -253,26 +208,6 @@ def test_markov_conditional_mean_without_history():
     # uniform initial state: the stationary mean
     src = BinaryMarkovEmbedded(stay=0.9)
     assert math.isclose(src.conditional_mean(identity()), 0.5, rel_tol=1e-9)
-
-
-def test_entropy_rate_default_is_unsupported():
-    from histmix.sources import _Source
-
-    class Opaque(_Source):
-        kind = "opaque"
-
-    with pytest.raises(UnsupportedSourceError):
-        Opaque().quantized_entropy_rate(0)
-
-
-def test_log_density_seq_chains():
-    src = BinaryMarkovEmbedded(stay=0.9)
-    xs = src.sample(50, seed=10)
-    total = src.log_density_seq(xs)
-    manual = src.true_log_density(xs[0])
-    for prev, x in zip(xs, xs[1:]):
-        manual += src.true_log_density(x, last=prev)
-    assert math.isclose(total, manual, rel_tol=0, abs_tol=1e-12)
 
 
 def test_parameter_validation():
@@ -373,3 +308,65 @@ def test_deterministic_mixed_atom_law_has_no_piece():
     family = mixed_family((-1.0,), 0, 1, 2)
     assert src.conditional_mean(cell_indicator(family, 0)) == 1.0
     assert src.conditional_mean(cell_indicator(family, 3)) == 0.0
+
+
+def _highres_pieces(k=8):
+    # random pieces as the replay-highres benchmark workload draws them
+    g = 0.25 + np.random.default_rng([0, 1]).random(k)
+    return tuple(j / k for j in range(k + 1)), tuple(float(v) for v in g / g.mean())
+
+
+def _density_cases():
+    dyadic = dyadic_family(0, 1, 8).levels[-1]
+    yield "uniform", UniformIID(), dyadic, None
+    yield "piecewise", PiecewiseDensityIID(), dyadic, None
+    yield "piecewise-8", PiecewiseDensityIID(*_highres_pieces()), dyadic, None
+    mixed = MixedAtomIID(atom_mass=0.3, eta_atom_mass=0.6)
+    yield "mixed-atom", mixed, mixed_family((mixed.atom_point,), 0, 1, 8).levels[-1], None
+    for last in (None, 0.2, 0.8):
+        yield f"markov-last-{last}", BinaryMarkovEmbedded(), dyadic, last
+    for ratio in (0.5, 0.8):
+        points = [Cell.atom(k) for k in range(1, 401)]
+        yield f"countable-{ratio}", CountableGeometric(ratio=ratio), points, None
+
+
+@pytest.mark.parametrize(
+    "src,cells,last", [pytest.param(*case[1:], id=case[0]) for case in _density_cases()]
+)
+def test_density_is_the_law_density(src, cells, last):
+    # density times reference mass is the law's mass, cell by cell, and the
+    # masses add up to one
+    ref = src.reference()
+    total = 0.0
+    for cell in cells:
+        rep = cell.point if cell.kind == "atom" else (cell.lower + cell.upper) / 2
+        mass = math.exp(src.true_log_density(rep, last)) * ref.cell_mass(cell)
+        assert math.isclose(mass, src.law(last).cell_mass(cell), rel_tol=1e-12), cell
+        total += mass
+    assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "src,values",
+    [
+        pytest.param(UniformIID(), (1.0, -0.5), id="uniform"),
+        pytest.param(PiecewiseDensityIID(), (1.0, -0.5), id="piecewise"),
+        pytest.param(MixedAtomIID(), (1.0, -0.5), id="mixed-atom"),
+        pytest.param(MixedAtomIID(continuous="exponential"), (1.0, -0.5), id="mixed-exponential"),
+        pytest.param(MixedAtomIID(atom_mass=1.0), (1.0, -0.5), id="mixed-deterministic"),
+        pytest.param(CountableGeometric(), (-0.5, 2.5, 0.0), id="countable"),
+        pytest.param(BinaryMarkovEmbedded(), (1.0, -0.5), id="markov"),
+    ],
+)
+def test_density_outside_support_raises(src, values):
+    for x in values:
+        for last in (None, src.sample(1, seed=0)[0]):
+            with pytest.raises(OutOfSupportError):
+                src.true_log_density(x, last)
+
+
+def test_deterministic_mixed_atom_density():
+    # no mass off the atom: log density -inf there, not an error
+    src = MixedAtomIID(atom_mass=1.0)
+    assert src.true_log_density(-1.0) == math.log(1.0 / 0.5)
+    assert src.true_log_density(0.4) == -math.inf
